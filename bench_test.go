@@ -12,6 +12,7 @@ import (
 	"recycle/internal/config"
 	"recycle/internal/engine"
 	"recycle/internal/experiments"
+	"recycle/internal/failure"
 	"recycle/internal/profile"
 	"recycle/internal/schedule"
 	"recycle/internal/sim"
@@ -295,6 +296,39 @@ func BenchmarkProgramCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProgramCodecFig10 measures the Program codec at scale: one
+// encode and one decode (which re-validates) of the 256-GPU Fig 10
+// Program at 5% failures — the artifact a remote executor fetches after
+// an adaptation. Bytes per instruction stay flat in DP because each
+// stage's all-reduce is one join, not an edge per contributor on every
+// optimizer.
+func BenchmarkProgramCodecFig10(b *testing.B) {
+	job := config.Fig10Jobs()[0]
+	stats, err := profile.Analytic(job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(job, stats, engine.Options{UnrollIterations: 1})
+	prog, err := eng.Program(failure.FailureRate(job.Parallel.Workers(), 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := engine.EncodeProgram(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.DecodeProgram(data); err != nil {
+			b.Fatal(err)
+		}
+		size = len(data)
+	}
+	b.ReportMetric(float64(size)/float64(len(prog.Instrs)), "bytes/instr")
+	b.ReportMetric(float64(len(prog.Instrs)), "instrs")
 }
 
 // planAllJob is the workload of the PlanAll benches: the Table 1 GPT-3

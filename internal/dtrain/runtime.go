@@ -291,7 +291,7 @@ func (rt *Runtime) RunIteration() (float64, error) {
 	}
 	r := newRouter()
 	r.rec = rt.rec
-	board := newDepBoard(len(prog.Instrs))
+	board := newDepBoard(prog)
 	rt.captureEpochBase()
 	rt.losses = make(map[nn.MBKey]float64)
 	rt.stepped = make(map[schedule.Worker]int)
@@ -505,21 +505,29 @@ func (rt *Runtime) runCascadeIteration(events []CascadeEvent) (float64, error) {
 	// of cur, clipped by keep (nil keeps everything remaining), on a dep
 	// board seeded with the done prefix so cross-phase edges resolve.
 	runPhase := func(keep func(id int) bool) *depBoard {
-		board := newDepBoard(len(cur.Instrs))
+		board := newDepBoard(cur)
 		maxDone := make(map[schedule.Worker]int64, len(done))
 		for id, end := range done {
 			board.post(id, end-cur.DurOf(id), end)
 			if w := cur.Instrs[id].Op.Worker(); end > maxDone[w] {
 				maxDone[w] = end
 			}
-			if rt.rec.Enabled() {
-				// Frozen prefix spans make each post-splice segment tile the
-				// full iteration makespan on its own (the CriticalPath
-				// invariant).
-				ins := cur.Instrs[id]
-				rt.rec.Span(obs.Span{Instr: id, Op: ins.Op, Deps: ins.Deps,
+		}
+		if rt.rec.Enabled() {
+			// Frozen prefix spans make each post-splice segment tile the
+			// full iteration makespan on its own (the CriticalPath
+			// invariant). They are recorded once the whole prefix has
+			// posted, so a frozen optimizer names its join's binding
+			// contributor.
+			for id, end := range done {
+				ins := &cur.Instrs[id]
+				s := obs.Span{Instr: id, Op: ins.Op, Deps: ins.Deps,
 					Sched: end - cur.DurOf(id), Start: end - cur.DurOf(id), End: end,
-					Modeled: cur.DurOf(id), Frozen: true})
+					Modeled: cur.DurOf(id), Frozen: true}
+				if by, at, ok := board.joinOf(ins); ok {
+					s.Join, s.JoinBy, s.JoinAt = ins.Join, by, at
+				}
+				rt.rec.Span(s)
 			}
 		}
 		for _, wk := range cur.Workers() {
@@ -793,7 +801,7 @@ func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *dep
 		key := nn.MBKey{Pipeline: op.Home, MB: op.MB}
 		opWall = 0
 		start := clock
-		sched := board.wait(prog, ins.Deps)
+		sched, joinBy, joinAt := board.wait(prog, &ins)
 		if sched > start {
 			start = sched
 		}
@@ -874,6 +882,7 @@ func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *dep
 		clock = end
 		if rt.rec.Enabled() {
 			rt.rec.Span(obs.Span{Instr: id, Op: op, Deps: ins.Deps,
+				Join: ins.Join, JoinBy: joinBy, JoinAt: joinAt,
 				Sched: sched, Start: start, End: end,
 				Modeled: prog.DurOf(id), Actual: opWall})
 		}
@@ -890,9 +899,10 @@ func (rt *Runtime) allReduceAndStep(w schedule.Worker, st *nn.Stage, iter int, r
 	// The step-epoch guard: a re-delivered step instruction whose target
 	// epoch the stage's parameters already carry is an idempotent no-op —
 	// recorded, and skipping the whole rendezvous, since a stepped stage's
-	// gradient stores were drained when the step first applied. All DP
-	// peers of a stepped stage share the advanced epoch, so the skip is
-	// consistent across the rendezvous group.
+	// gradient stores were drained when the step first applied. Its only
+	// wait was the one all-reduce join on the dep board. All DP peers of a
+	// stepped stage share the advanced epoch, so the skip is consistent
+	// across the rendezvous group.
 	target := rt.epochBase[w] + iter + 1
 	if st.StepEpoch() >= target {
 		if rt.rec.Enabled() {

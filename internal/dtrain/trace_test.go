@@ -12,7 +12,8 @@ import (
 // TestTraceAgreementLiveVsDES extends the executor-agreement property to
 // the recorded traces: the live runtime and the DES, interpreting the same
 // faulted Program, must record span sets with identical instruction
-// identities, dependency edges, and logical spans — the recorder observes
+// identities, dependency edges, resolved all-reduce joins (join, binding
+// contributor, completion time) and logical spans — the recorder observes
 // the shared IR, it does not perturb it.
 func TestTraceAgreementLiveVsDES(t *testing.T) {
 	cfg := Config{
@@ -60,6 +61,10 @@ func TestTraceAgreementLiveVsDES(t *testing.T) {
 			if ls.Deps[j] != ds.Deps[j] {
 				t.Fatalf("instruction %d dep %d: live %+v != DES %+v", id, j, ls.Deps[j], ds.Deps[j])
 			}
+		}
+		if ls.Join != ds.Join || ls.JoinBy != ds.JoinBy || ls.JoinAt != ds.JoinAt {
+			t.Fatalf("instruction %d (%s): live join %d by %d at %d != DES join %d by %d at %d",
+				id, ls.Op, ls.Join, ls.JoinBy, ls.JoinAt, ds.Join, ds.JoinBy, ds.JoinAt)
 		}
 		if ls.Start != ds.Start || ls.End != ds.End || ls.Sched != ds.Sched {
 			t.Fatalf("instruction %d (%s): live span sched=%d [%d,%d) != DES sched=%d [%d,%d)",

@@ -74,8 +74,20 @@ func FuzzDecodeProgram(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"Version":1}`))
-	f.Add([]byte(`{"Version":1,"Shape":{"DP":2,"PP":2,"MB":4,"Iter":1},"Instrs":[{"Op":{}}]}`))
+	for _, data := range malformedPrograms(f) {
+		f.Add(data)
+	}
+	// An optimizer with no join, and one naming two (JSON keeps the last).
+	f.Add([]byte(`{"Version":2,"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1},` +
+		`"Instrs":[{"Op":{"MB":0,"Type":0}},{"Op":{"MB":0,"Type":1},"Deps":[{"From":0,"Kind":2}]},{"Op":{"MB":-1,"Type":4}}],` +
+		`"Streams":[{"Worker":{"Stage":0,"Pipeline":0},"IDs":[0,1,2]}]}`))
+	f.Add([]byte(`{"Version":2,"Shape":{"DP":1,"PP":1,"MB":1,"Iter":1},"Durations":{"F":1,"BInput":1,"BWeight":1,"Opt":1},` +
+		`"Instrs":[{"Op":{"MB":0,"Type":0}},{"Op":{"MB":0,"Type":1},"Deps":[{"From":0,"Kind":2}]},{"Op":{"MB":-1,"Type":4},"Join":1,"Join":2}],` +
+		`"Joins":[{"Iter":0,"Stage":0,"Contribs":[1]},{"Iter":0,"Stage":0,"Contribs":[1]}],` +
+		`"Streams":[{"Worker":{"Stage":0,"Pipeline":0},"IDs":[0,1,2]}]}`))
+	f.Add([]byte(v1Program))
+	f.Add([]byte(`{"Version":2}`))
+	f.Add([]byte(`{"Version":2,"Shape":{"DP":2,"PP":2,"MB":4,"Iter":1},"Instrs":[{"Op":{}}]}`))
 	f.Add([]byte(`{"Version":99,"Instrs":[{}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(nil))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -257,11 +258,12 @@ func TestProgramCodecRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := bytes.Replace(data, []byte(`"Version":1`), []byte(`"Version":2`), 1)
+	version := fmt.Sprintf(`"Version":%d`, ProgramCodecVersion)
+	tampered := bytes.Replace(data, []byte(version), []byte(fmt.Sprintf(`"Version":%d`, ProgramCodecVersion+1)), 1)
 	if _, err := DecodeProgram(tampered); err == nil {
 		t.Fatal("DecodeProgram accepted a future codec version")
 	}
-	if _, err := DecodeProgram([]byte(`{"Version":1,"Instrs":[]}`)); err == nil {
+	if _, err := DecodeProgram([]byte(`{` + version + `,"Instrs":[]}`)); err == nil {
 		t.Fatal("DecodeProgram accepted an empty program")
 	}
 }

@@ -31,6 +31,10 @@ type ChromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
+// AllReduceFlow names the flow arrow drawn from an all-reduce join's
+// binding contributor to each optimizer the join released.
+const AllReduceFlow = "allreduce"
+
 // segmentGap is the blank stretch inserted between consecutive segments on
 // the merged timeline, so iteration boundaries stay visible in the viewer.
 const segmentGap = 5
@@ -102,18 +106,25 @@ func BuildChromeTrace(t *Trace) *ChromeTrace {
 				TS: base[i] + s.Start, Dur: s.Dur(), PID: 1, TID: tid[s.Worker()], Args: args,
 			})
 			// Flow arrows along the dependency edges that released this
-			// span, from each producer's completion to our start.
-			for _, d := range s.Deps {
-				p, ok := byInstr[d.From]
+			// span, from each producer's completion to our start, plus one
+			// all-reduce arrow from the join's binding contributor.
+			flow := func(name string, from int) {
+				p, ok := byInstr[from]
 				if !ok {
-					continue
+					return
 				}
 				flowID++
 				out.TraceEvents = append(out.TraceEvents,
-					ChromeEvent{Name: d.Kind.String(), Cat: "dep", Phase: "s", ID: flowID,
+					ChromeEvent{Name: name, Cat: "dep", Phase: "s", ID: flowID,
 						TS: base[i] + p.End, PID: 1, TID: tid[p.Worker()]},
-					ChromeEvent{Name: d.Kind.String(), Cat: "dep", Phase: "f", BP: "e", ID: flowID,
+					ChromeEvent{Name: name, Cat: "dep", Phase: "f", BP: "e", ID: flowID,
 						TS: base[i] + s.Start, PID: 1, TID: tid[s.Worker()]})
+			}
+			for _, d := range s.Deps {
+				flow(d.Kind.String(), d.From)
+			}
+			if s.Join != 0 {
+				flow(AllReduceFlow, s.JoinBy)
 			}
 		}
 	}

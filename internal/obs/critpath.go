@@ -18,6 +18,10 @@ const (
 	// communication latency on a dependency edge, a detection/release
 	// floor after a splice, or idle before the first instruction.
 	StepWait
+	// StepJoin is a gradient all-reduce join on the path: a zero-width
+	// tile at the instant the join's binding contributor finished and
+	// released the optimizer after it.
+	StepJoin
 )
 
 // PathStep is one stretch of the critical path; consecutive steps tile
@@ -26,9 +30,10 @@ type PathStep struct {
 	Kind     StepKind
 	From, To int64
 	// Instr and Op identify the instruction of a StepOp (Instr is -1 on
-	// waits).
+	// waits and joins); Join names the join of a StepJoin.
 	Instr int
 	Op    schedule.Op
+	Join  schedule.JoinRef
 }
 
 // PathReport is the makespan attribution of one recorded segment.
@@ -123,10 +128,11 @@ func CriticalPath(g *Segment) (*PathReport, error) {
 			break
 		}
 		// Candidate predecessors: the producers of the dependency edges
-		// that released this instruction, and the same worker's previous
-		// instruction. The binding constraint is the latest completion at
-		// or before our start.
-		best, found := Span{}, false
+		// that released this instruction, its all-reduce join (reached
+		// through the join's binding contributor), and the same worker's
+		// previous instruction. The binding constraint is the latest
+		// completion at or before our start.
+		best, found, viaJoin := Span{}, false, false
 		for _, d := range cur.Deps {
 			ds, ok := byInstr[d.From]
 			if !ok || ds.End > cur.Start {
@@ -136,9 +142,14 @@ func CriticalPath(g *Segment) (*PathReport, error) {
 				best, found = ds, true
 			}
 		}
+		if cur.Join != 0 {
+			if js, ok := byInstr[cur.JoinBy]; ok && js.End == cur.JoinAt && js.End <= cur.Start && (!found || js.End > best.End) {
+				best, found, viaJoin = js, true, true
+			}
+		}
 		if ws, ok := workerPrev(cur.Worker(), cur.Start, cur.Instr); ok {
 			if !found || ws.End > best.End {
-				best, found = ws, true
+				best, found, viaJoin = ws, true, false
 			}
 		}
 		if !found {
@@ -151,6 +162,9 @@ func CriticalPath(g *Segment) (*PathReport, error) {
 		if best.End < cur.Start {
 			rev = append(rev, PathStep{Kind: StepWait, From: best.End, To: cur.Start, Instr: -1})
 			rep.WaitSlots += cur.Start - best.End
+		}
+		if viaJoin {
+			rev = append(rev, PathStep{Kind: StepJoin, From: best.End, To: best.End, Instr: -1, Join: cur.Join})
 		}
 		cur = best
 	}

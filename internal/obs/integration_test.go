@@ -58,6 +58,80 @@ func TestCriticalPathTilesRealProgram(t *testing.T) {
 	}
 }
 
+// TestChromeTraceOneAllReduceFlowPerOptimizer checks the all-reduce
+// rendering of a traced DP>=2 DES run: each optimizer gets exactly one
+// all-reduce flow arrow, starting where its join's binding contributor —
+// a weight gradient of its stage — ends, whatever DP·MB is.
+func TestChromeTraceOneAllReduceFlowPerOptimizer(t *testing.T) {
+	prog := compiledProgram(t, 1)
+	rec := obs.NewTrace()
+	if _, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Recorder: rec, TraceLabel: "des"}); err != nil {
+		t.Fatal(err)
+	}
+	seg := rec.Segment("des")
+	opts := prog.OpCount(schedule.Optimizer)
+	if prog.Shape.DP < 2 || opts == 0 {
+		t.Fatalf("fixture has DP=%d and %d optimizers", prog.Shape.DP, opts)
+	}
+	for _, s := range seg.Spans() {
+		if s.Op.Type != schedule.Optimizer {
+			continue
+		}
+		by, ok := seg.Span(s.JoinBy)
+		if s.Join == 0 || !ok || by.End != s.JoinAt || by.Op.Stage != s.Op.Stage ||
+			(by.Op.Type != schedule.BWeight && by.Op.Type != schedule.B) {
+			t.Fatalf("%s: join %d resolved to contributor %d (%+v) at %d", s.Op, s.Join, s.JoinBy, by.Op, s.JoinAt)
+		}
+	}
+	starts, finishes := 0, 0
+	for _, ev := range obs.BuildChromeTrace(rec).TraceEvents {
+		if ev.Name != obs.AllReduceFlow {
+			continue
+		}
+		switch ev.Phase {
+		case "s":
+			starts++
+		case "f":
+			finishes++
+		}
+	}
+	if starts != opts || finishes != opts {
+		t.Fatalf("%d all-reduce flow starts and %d finishes, want one each per optimizer (%d)", starts, finishes, opts)
+	}
+}
+
+// TestCriticalPathCrossesJoins checks that an optimizer released by its
+// all-reduce join reaches the join's binding contributor through a
+// zero-width join tile, and the attribution still tiles the makespan.
+func TestCriticalPathCrossesJoins(t *testing.T) {
+	prog := compiledProgram(t, 1)
+	rec := obs.NewTrace()
+	if _, err := sim.ExecuteProgram(prog, sim.ProgramOptions{Recorder: rec, TraceLabel: "des"}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.CriticalPath(rec.Segment("des"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := 0
+	for i, st := range rep.Steps {
+		if st.Kind != obs.StepJoin {
+			continue
+		}
+		joins++
+		if st.From != st.To || st.Join == 0 || i == 0 || i+1 == len(rep.Steps) {
+			t.Fatalf("join step %d = %+v: want a zero-width tile between two steps", i, st)
+		}
+		if prev, next := rep.Steps[i-1], rep.Steps[i+1]; prev.Kind != obs.StepOp || prev.To != st.From ||
+			next.Kind != obs.StepOp || next.Op.Type != schedule.Optimizer {
+			t.Fatalf("join step %d sits between %+v and %+v", i, prev, next)
+		}
+	}
+	if joins == 0 {
+		t.Fatalf("critical path %v crosses no all-reduce join", rep)
+	}
+}
+
 // TestRecorderObservesCutAndKill drives the failure-injection executor
 // paths and checks the lifecycle stream: a FailAt death records a kill, a
 // CutAt freeze records a cut with the completed/lost/blocked census.

@@ -21,6 +21,14 @@ type Span struct {
 	// slice is shared with the Program — recorders must treat it as
 	// read-only.
 	Deps []schedule.Dep
+	// Join is the all-reduce join that released an optimizer (zero on
+	// every other instruction). JoinBy is its binding contributor — the
+	// latest-finishing weight gradient, whose completion fired the join —
+	// and JoinAt the join's completion time; the executor resolves both
+	// once, from the join's countdown.
+	Join   schedule.JoinRef
+	JoinBy int
+	JoinAt int64
 	// Sched is the logical time the instruction's dependencies released it
 	// (max producer end + edge latency); Start and End are the executed
 	// logical span. Start > Sched means the worker was the constraint, not

@@ -192,30 +192,46 @@ func Splice(in SpliceInput) (*Spliced, error) {
 
 	// Partition: completed instructions keep their spans, minus the lost
 	// set — work completed on a dying worker plus every completed
-	// dependent of it, found by BFS over the program's dependency edges.
+	// dependent of it, found by BFS over the program's dependency edges
+	// and joins: a lost weight gradient takes its join down, and the join
+	// every completed optimizer it gated. Each join is expanded once.
 	// (A completed instruction's producers all completed, so the cascade
 	// never has to look at unexecuted work.)
 	succs := make([][]int, n)
+	gated := make([][]int, len(p.Joins)) // join -> optimizers waiting on it
 	for i := range p.Instrs {
 		for _, d := range p.Instrs[i].Deps {
 			succs[d.From] = append(succs[d.From], i)
 		}
+		if r := p.Instrs[i].Join; r != 0 {
+			gated[r.Index()] = append(gated[r.Index()], i)
+		}
 	}
+	joinOf := p.ContribJoins()
+	joinLost := make([]bool, len(p.Joins))
 	lost := make([]bool, n)
 	var queue []int
-	for i := range p.Instrs {
-		if in.Ends[i] >= 0 && failSet[p.Instrs[i].Op.Worker()] && !durable(p.Instrs[i].Op) {
+	visit := func(i int) {
+		if in.Ends[i] >= 0 && !lost[i] && !durable(p.Instrs[i].Op) {
 			lost[i] = true
 			queue = append(queue, i)
+		}
+	}
+	for i := range p.Instrs {
+		if failSet[p.Instrs[i].Op.Worker()] {
+			visit(i)
 		}
 	}
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, j := range succs[i] {
-			if in.Ends[j] >= 0 && !lost[j] && !durable(p.Instrs[j].Op) {
-				lost[j] = true
-				queue = append(queue, j)
+			visit(j)
+		}
+		if r := joinOf[i]; r != 0 && !joinLost[r.Index()] {
+			joinLost[r.Index()] = true
+			for _, o := range gated[r.Index()] {
+				visit(o)
 			}
 		}
 	}
@@ -392,22 +408,36 @@ func Splice(in SpliceInput) (*Spliced, error) {
 		})
 	}
 
-	// Producer indices for dependency resolution by op identity.
+	// Producer indices for dependency resolution by op identity, and one
+	// all-reduce countdown per (iter, stage): weight gradients still
+	// unplaced, and the latest placed one's end.
 	fBy := make(map[tripleKey]*node)
 	biBy := make(map[tripleKey]*node)
-	bwByStage := make(map[[2]int][]*node)
+	type joinState struct {
+		left int
+		at   int64
+	}
+	joins := make(map[[2]int]*joinState)
 	index := func(nd *node) {
 		k := tripleKey{nd.op.Iter, nd.op.Stage, nd.op.MB, nd.op.Home}
 		switch nd.op.Type {
 		case schedule.F:
 			fBy[k] = nd
-		case schedule.B:
+		case schedule.B, schedule.BInput:
 			biBy[k] = nd
-			bwByStage[[2]int{nd.op.Iter, nd.op.Stage}] = append(bwByStage[[2]int{nd.op.Iter, nd.op.Stage}], nd)
-		case schedule.BInput:
-			biBy[k] = nd
-		case schedule.BWeight:
-			bwByStage[[2]int{nd.op.Iter, nd.op.Stage}] = append(bwByStage[[2]int{nd.op.Iter, nd.op.Stage}], nd)
+		}
+		if nd.op.Type == schedule.B || nd.op.Type == schedule.BWeight {
+			si := [2]int{nd.op.Iter, nd.op.Stage}
+			js := joins[si]
+			if js == nil {
+				js = &joinState{}
+				joins[si] = js
+			}
+			if nd.placed {
+				js.at = max(js.at, nd.end)
+			} else {
+				js.left++
+			}
 		}
 	}
 	for _, nd := range prefix {
@@ -450,11 +480,6 @@ func Splice(in SpliceInput) (*Spliced, error) {
 			if err := need(biBy[k], 0, "backward-input"); err != nil {
 				return nil, nil, err
 			}
-		case schedule.Optimizer:
-			for _, bw := range bwByStage[[2]int{op.Iter, op.Stage}] {
-				ps = append(ps, bw)
-				lat = append(lat, 0)
-			}
 		}
 		return ps, lat, nil
 	}
@@ -484,6 +509,14 @@ func Splice(in SpliceInput) (*Spliced, error) {
 						ready = r
 					}
 				}
+				if nd.op.Type == schedule.Optimizer {
+					// The stage's all-reduce join: ready once its last
+					// weight gradient is placed.
+					if js := joins[[2]int{nd.op.Iter, nd.op.Stage}]; js != nil {
+						ok = ok && js.left == 0
+						ready = max(ready, js.at)
+					}
+				}
 				if !ok {
 					break
 				}
@@ -493,6 +526,11 @@ func Splice(in SpliceInput) (*Spliced, error) {
 				}
 				nd.start, nd.end = start, start+dur(w, nd.op.Type)
 				nd.placed = true
+				if nd.op.Type == schedule.B || nd.op.Type == schedule.BWeight {
+					js := joins[[2]int{nd.op.Iter, nd.op.Stage}]
+					js.left--
+					js.at = max(js.at, nd.end)
+				}
 				free[w] = nd.end
 				pos[w]++
 				remaining--

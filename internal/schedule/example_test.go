@@ -7,7 +7,8 @@ import (
 )
 
 // ExampleCompile lowers a timed schedule into the executable Program IR:
-// per-worker instruction streams plus explicit dependency edges, with each
+// per-worker instruction streams plus explicit dependency edges and one
+// all-reduce join per stage, with each
 // instruction stamped with the duration the schedule assigned it. The same
 // artifact is interpreted by the live runtime and executed in virtual time
 // by the discrete-event simulator.
@@ -26,7 +27,12 @@ func ExampleCompile() {
 	fmt.Printf("stream of %s:\n", w)
 	for _, id := range prog.Streams[w] {
 		ins := prog.Instrs[id]
-		fmt.Printf("  %-18s dur=%d deps=%d\n", ins.Op, prog.DurOf(id), len(ins.Deps))
+		fmt.Printf("  %-18s dur=%d deps=%d", ins.Op, prog.DurOf(id), len(ins.Deps))
+		if ins.Join != 0 {
+			// The optimizer waits on its stage's all-reduce join.
+			fmt.Printf(" join=%d", len(prog.JoinAt(ins.Join).Contribs))
+		}
+		fmt.Println()
 	}
 	// Output:
 	// instructions: 10 over 2 workers
@@ -35,5 +41,5 @@ func ExampleCompile() {
 	//   it0:B(mb0,p0)@W0_1 dur=2 deps=1
 	//   it0:F(mb1,p0)@W0_1 dur=1 deps=1
 	//   it0:B(mb1,p0)@W0_1 dur=2 deps=1
-	//   it0:OPT@W0_1       dur=1 deps=2
+	//   it0:OPT@W0_1       dur=1 deps=0 join=2
 }

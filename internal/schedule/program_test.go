@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,8 +36,8 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 		}
 	}
 	// A stage-0 forward has no data deps; a stage-i>0 forward has exactly
-	// one activation edge; optimizers carry one all-reduce edge per
-	// backward of their stage.
+	// one activation edge; each optimizer has no edges and exactly one
+	// join, which gathers every weight gradient of its stage.
 	for _, ins := range p.Instrs {
 		switch ins.Op.Type {
 		case F:
@@ -48,8 +49,11 @@ func TestCompileFaultFree1F1B(t *testing.T) {
 				t.Fatalf("%s has %d deps, want %d", ins.Op, len(ins.Deps), want)
 			}
 		case Optimizer:
-			if got, want := len(ins.Deps), shape.DP*shape.MB; got != want {
-				t.Fatalf("%s has %d all-reduce deps, want %d", ins.Op, got, want)
+			if len(ins.Deps) != 0 || ins.Join == 0 {
+				t.Fatalf("%s has %d deps and join %d, want no deps and one join", ins.Op, len(ins.Deps), ins.Join)
+			}
+			if got, want := len(p.JoinAt(ins.Join).Contribs), shape.DP*shape.MB; got != want {
+				t.Fatalf("%s joins %d weight gradients, want %d", ins.Op, got, want)
 			}
 		}
 	}
@@ -197,5 +201,149 @@ func TestCompiledProgramsSoundAcrossShapes(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// compiled returns a freshly compiled fault-free Program of the shape.
+func compiled(t *testing.T, shape Shape) *Program {
+	t.Helper()
+	p, err := Compile(FaultFree1F1B(shape, UnitSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// refile gives instruction id a new op and moves it to its new worker's
+// stream, so stream bookkeeping stays consistent and only the op itself
+// is malformed.
+func refile(p *Program, id int, op Op) {
+	old := p.Instrs[id].Op.Worker()
+	stream := p.Streams[old][:0:0]
+	for _, x := range p.Streams[old] {
+		if x != id {
+			stream = append(stream, x)
+		}
+	}
+	p.Streams[old] = stream
+	p.Instrs[id].Op = op
+	p.Streams[op.Worker()] = append(p.Streams[op.Worker()], id)
+	p.workers = nil
+}
+
+// TestValidateRejectsOpsOutsideShape pins the linear shape and duration
+// checks: an instruction whose stage, micro-batch, home, executor or
+// iteration lies outside the Program's Shape would index an executor out
+// of range, an unknown op type has no executor at all, and a negative
+// duration would silently fall back to the homogeneous one.
+func TestValidateRejectsOpsOutsideShape(t *testing.T) {
+	shape := Shape{DP: 2, PP: 2, MB: 4, Iter: 1}
+	cases := []struct {
+		name, want string
+		mutate     func(op *Op, ins *Instr)
+	}{
+		{"stage", "outside shape", func(op *Op, _ *Instr) { op.Stage = 7 }},
+		{"negative stage", "outside shape", func(op *Op, _ *Instr) { op.Stage = -1 }},
+		{"micro-batch", "outside shape", func(op *Op, _ *Instr) { op.MB = 9 }},
+		{"home", "outside shape", func(op *Op, _ *Instr) { op.Home = 5 }},
+		{"exec", "outside shape", func(op *Op, _ *Instr) { op.Exec = 5 }},
+		{"iteration", "outside shape", func(op *Op, _ *Instr) { op.Iter = 3 }},
+		{"all at once", "outside shape", func(op *Op, _ *Instr) { *op = Op{Stage: 7, MB: 9, Home: 5, Exec: 5, Iter: 3, Type: F} }},
+		{"op type", "unknown type", func(op *Op, _ *Instr) { op.Type = 9 }},
+		{"negative duration", "negative duration", func(_ *Op, ins *Instr) { ins.Dur = -3 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := compiled(t, shape)
+			id := p.Streams[Worker{Stage: 0, Pipeline: 0}][0] // a stage-0 forward
+			op := p.Instrs[id].Op
+			tc.mutate(&op, &p.Instrs[id])
+			refile(p, id, op)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	if err := compiled(t, shape).Validate(); err != nil {
+		t.Fatalf("the unmutated program is rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsMalformedJoins pins the join checks: every
+// contributor is an in-range weight gradient of the join's stage and
+// iteration appearing once, a join gathers exactly DP·MB of them and
+// gates at least one optimizer, at most one join exists per (iteration,
+// stage), and only optimizers of that stage and iteration reference it.
+func TestValidateRejectsMalformedJoins(t *testing.T) {
+	shape := Shape{DP: 2, PP: 2, MB: 2, Iter: 2}
+	// contribOf finds a weight gradient of the given iteration and stage.
+	contribOf := func(p *Program, iter, stage int) int {
+		for j := range p.Joins {
+			if p.Joins[j].Iter == iter && p.Joins[j].Stage == stage {
+				return p.Joins[j].Contribs[0]
+			}
+		}
+		t.Fatalf("no join for iteration %d stage %d", iter, stage)
+		return -1
+	}
+	optimizer := func(p *Program) *Instr {
+		for i := range p.Instrs {
+			if p.Instrs[i].Op.Type == Optimizer {
+				return &p.Instrs[i]
+			}
+		}
+		t.Fatal("no optimizer")
+		return nil
+	}
+	cases := []struct {
+		name   string
+		mutate func(p *Program)
+	}{
+		{"contributor out of range", func(p *Program) { p.Joins[0].Contribs[0] = len(p.Instrs) }},
+		{"negative contributor", func(p *Program) { p.Joins[0].Contribs[0] = -1 }},
+		{"duplicate contributor", func(p *Program) { p.Joins[0].Contribs[1] = p.Joins[0].Contribs[0] }},
+		{"wrong-stage contributor", func(p *Program) {
+			j := &p.Joins[0]
+			j.Contribs[0] = contribOf(p, j.Iter, 1-j.Stage)
+		}},
+		{"wrong-iteration contributor", func(p *Program) {
+			j := &p.Joins[0]
+			j.Contribs[0] = contribOf(p, 1-j.Iter, j.Stage)
+		}},
+		{"forward contributor", func(p *Program) { p.Joins[0].Contribs[0] = p.Streams[Worker{}][0] }},
+		{"missing contributor", func(p *Program) { p.Joins[0].Contribs = p.Joins[0].Contribs[1:] }},
+		{"join reference out of range", func(p *Program) { optimizer(p).Join = JoinRef(len(p.Joins) + 1) }},
+		{"join of another stage", func(p *Program) {
+			o := optimizer(p)
+			for j := range p.Joins {
+				if p.Joins[j].Stage != o.Op.Stage {
+					o.Join = JoinRef(j + 1)
+					return
+				}
+			}
+		}},
+		{"forward waits on a join", func(p *Program) { p.Instrs[p.Streams[Worker{}][0]].Join = 1 }},
+		{"join gates no optimizer", func(p *Program) {
+			for i := range p.Instrs {
+				if p.Instrs[i].Join == 1 {
+					p.Instrs[i].Join = 0
+				}
+			}
+		}},
+		{"two joins for one stage", func(p *Program) {
+			o := optimizer(p)
+			p.Joins = append(p.Joins, *p.JoinAt(o.Join))
+			o.Join = JoinRef(len(p.Joins))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := compiled(t, shape)
+			tc.mutate(p)
+			if err := p.Validate(); err == nil {
+				t.Fatal("Validate accepted the malformed join")
+			}
+		})
 	}
 }

@@ -145,6 +145,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 	pos := make(map[schedule.Worker]int, len(workers))
 	free := make(map[schedule.Worker]int64, len(workers))
 	dead := make(map[schedule.Worker]bool, len(opt.FailAt))
+	joins := schedule.NewJoinCounter(p)
 
 	// Install the pre-executed prefix: spans recorded, streams advanced
 	// past it, worker clocks floored at its completion times.
@@ -153,6 +154,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 			return nil, fmt.Errorf("sim: done instruction %d outside [0,%d)", id, n)
 		}
 		ex.Start[id], ex.End[id] = end-p.DurOf(id), end
+		joins.Post(id, end)
 		ex.Completed++
 		if end > ex.Makespan {
 			ex.Makespan = end
@@ -161,12 +163,23 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 		if end > free[w] {
 			free[w] = end
 		}
-		if tracing {
-			opt.Recorder.Span(obs.Span{
-				Instr: id, Op: p.Instrs[id].Op, Deps: p.Instrs[id].Deps,
+	}
+	if tracing {
+		// Recorded once every prefix contributor has posted, so a frozen
+		// optimizer names its join's binding contributor.
+		for id, end := range opt.Done {
+			ins := &p.Instrs[id]
+			s := obs.Span{
+				Instr: id, Op: ins.Op, Deps: ins.Deps,
 				Sched: ex.Start[id], Start: ex.Start[id], End: end,
 				Modeled: p.DurOf(id), Frozen: true,
-			})
+			}
+			if ins.Join != 0 {
+				if at, by, fired := joins.Fired(ins.Join); fired {
+					s.Join, s.JoinBy, s.JoinAt = ins.Join, by, at
+				}
+			}
+			opt.Recorder.Span(s)
 		}
 	}
 	for _, w := range workers {
@@ -216,6 +229,14 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 						ready = r
 					}
 				}
+				var joinBy int
+				var joinAt int64
+				if ok && ins.Join != 0 {
+					// The all-reduce join fires when its last contributor
+					// posts; the optimizer reads the one completion time.
+					joinAt, joinBy, ok = joins.Fired(ins.Join)
+					ready = max(ready, joinAt)
+				}
 				if !ok {
 					break
 				}
@@ -243,6 +264,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 					break
 				}
 				ex.Start[id], ex.End[id] = start, end
+				joins.Post(id, end)
 				free[w] = end
 				if end > ex.Makespan {
 					ex.Makespan = end
@@ -253,6 +275,7 @@ func ExecuteProgram(p *schedule.Program, opt ProgramOptions) (*Execution, error)
 				if tracing {
 					opt.Recorder.Span(obs.Span{
 						Instr: id, Op: ins.Op, Deps: ins.Deps,
+						Join: ins.Join, JoinBy: joinBy, JoinAt: joinAt,
 						Sched: ready, Start: start, End: end,
 						Modeled: p.DurOf(id),
 					})

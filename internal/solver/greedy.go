@@ -10,8 +10,10 @@ import (
 
 // newState builds the task graph for the input: one F and one backward
 // chain per (iteration, pipeline, micro-batch, stage) with the MILP's
-// dependency structure (Eq. 2–4), per-worker priority streams ordered by
-// the fault-free 1F1B skeleton, and optimizer barrier groups.
+// dependency structure (Eq. 2–4), one all-reduce join per (iteration,
+// stage) gathering the stage's weight gradients for its optimizers,
+// per-worker priority streams ordered by the fault-free 1F1B skeleton, and
+// optimizer barrier groups.
 func newState(in Input, routes [][][]int) *state {
 	sh := in.Shape
 	d := in.Durations
@@ -46,8 +48,12 @@ func newState(in Input, routes [][][]int) *state {
 		in:     in,
 		routes: routes,
 		widx:   make(map[schedule.Worker]int),
-		groups: make(map[string]*optGroup),
 	}
+	s.groupsPerIter = 1
+	if in.Staggered {
+		s.groupsPerIter = sh.PP
+	}
+	s.groups = make([]optGroup, sh.Iter*s.groupsPerIter)
 	for k := 0; k < sh.DP; k++ {
 		for i := 0; i < sh.PP; i++ {
 			w := schedule.Worker{Stage: i, Pipeline: k}
@@ -60,7 +66,9 @@ func newState(in Input, routes [][][]int) *state {
 	}
 
 	addTask := func(t task) taskID {
-		t.dur = in.dur(t.worker, t.op.Type)
+		if !t.join {
+			t.dur = in.dur(t.worker, t.op.Type)
+		}
 		id := taskID(len(s.tasks))
 		s.tasks = append(s.tasks, t)
 		return id
@@ -107,10 +115,12 @@ func newState(in Input, routes [][][]int) *state {
 	}
 	periodRef := ref.ComputeMakespan(0) + d.Opt
 
-	type mbKey struct{ iter, i, j, k int }
-	fID := make(map[mbKey]taskID)
-	biID := make(map[mbKey]taskID) // BInput or coupled B
-	bwID := make(map[mbKey]taskID)
+	// Dense (iter, stage, micro-batch, home) task indexes.
+	mbIdx := func(it, i, j, k int) int { return ((it*sh.PP+i)*sh.MB+j)*sh.DP + k }
+	nMB := sh.Iter * sh.PP * sh.MB * sh.DP
+	fID := make([]taskID, nMB)
+	biID := make([]taskID, nMB) // BInput or coupled B
+	bwID := make([]taskID, nMB)
 
 	for it := 0; it < sh.Iter; it++ {
 		for k := 0; k < sh.DP; k++ {
@@ -118,7 +128,7 @@ func newState(in Input, routes [][][]int) *state {
 				for i := 0; i < sh.PP; i++ {
 					exec := routes[i][k][j]
 					w := schedule.Worker{Stage: i, Pipeline: exec}
-					key := mbKey{it, i, j, k}
+					key := mbIdx(it, i, j, k)
 					var relF, relB int64
 					if unaffected(i, k, exec) {
 						relF = int64(it)*periodRef + refF[i][j]
@@ -162,15 +172,35 @@ func newState(in Input, routes [][][]int) *state {
 					edge(f, biID[key], 0)
 					// Eq. 2: forward cross-stage chain.
 					if i > 0 {
-						edge(fID[mbKey{it, i - 1, j, k}], f, d.Comm)
+						edge(fID[mbIdx(it, i-1, j, k)], f, d.Comm)
 					}
 				}
 				// Eq. 3: backward cross-stage chain (built after the column
 				// exists, downstream to upstream).
 				for i := 0; i < sh.PP-1; i++ {
-					edge(biID[mbKey{it, i + 1, j, k}], biID[mbKey{it, i, j, k}], d.Comm)
+					edge(biID[mbIdx(it, i+1, j, k)], biID[mbIdx(it, i, j, k)], d.Comm)
 				}
 			}
+		}
+		// Gradient readiness: the stage's all-reduce join needs every
+		// backward-weight of the stage, wherever it executed. The join is
+		// a zero-duration task on no worker; it fires when its last
+		// contributor lands and releases the stage's optimizers. It
+		// carries the Optimizer op type and an unmapped worker, so the
+		// passes below that skip optimizers or unmapped workers skip it.
+		joins := make([]taskID, sh.PP)
+		for i := range joins {
+			joins[i] = addTask(task{
+				op:     schedule.Op{Stage: i, MB: -1, Home: -1, Exec: -1, Type: schedule.Optimizer, Iter: it},
+				worker: schedule.Worker{Stage: i, Pipeline: -1},
+				join:   true,
+			})
+			for k := 0; k < sh.DP; k++ {
+				for j := 0; j < sh.MB; j++ {
+					edge(bwID[mbIdx(it, i, j, k)], joins[i], 0)
+				}
+			}
+			s.joins++
 		}
 		// Optimizer tasks and barrier groups.
 		for wi := range s.workers {
@@ -181,21 +211,10 @@ func newState(in Input, routes [][][]int) *state {
 				pos:    pos(it, iterSpan-1, w.Pipeline, w.Pipeline),
 			})
 			s.workers[wi].opts = append(s.workers[wi].opts, o)
-			key := groupKey(in.Staggered, it, w.Stage)
-			g := s.groups[key]
-			if g == nil {
-				g = &optGroup{}
-				s.groups[key] = g
-			}
+			g := s.group(it, w.Stage)
 			g.members = append(g.members, wi)
 			g.tasks = append(g.tasks, o)
-			// Gradient readiness: the stage's all-reduce needs every
-			// backward-weight of the stage, wherever it executed.
-			for k := 0; k < sh.DP; k++ {
-				for j := 0; j < sh.MB; j++ {
-					edge(bwID[mbKey{it, w.Stage, j, k}], o, 0)
-				}
-			}
+			edge(joins[w.Stage], o, 0)
 		}
 	}
 
@@ -266,11 +285,14 @@ func newState(in Input, routes [][][]int) *state {
 	return s
 }
 
-func groupKey(staggered bool, iter, stage int) string {
-	if staggered {
-		return fmt.Sprintf("%d/s%d", iter, stage)
+// group returns the optimizer barrier group of a stage's step: one per
+// (iteration, stage) under the Staggered Optimizer, one per iteration
+// otherwise.
+func (s *state) group(iter, stage int) *optGroup {
+	if s.groupsPerIter == 1 {
+		stage = 0
 	}
-	return fmt.Sprintf("%d/g", iter)
+	return &s.groups[iter*s.groupsPerIter+stage]
 }
 
 // run executes the event loop to completion.
@@ -403,7 +425,7 @@ func (s *state) gateIter(w *workerState) int {
 func (s *state) arrive(wi, iter int, at int64) {
 	w := &s.workers[wi]
 	w.arrived = true
-	g := s.groups[groupKey(s.in.Staggered, iter, w.w.Stage)]
+	g := s.group(iter, w.w.Stage)
 	g.arrived++
 	if at > g.arriveAt {
 		g.arriveAt = at
@@ -430,7 +452,9 @@ func (s *state) place(wi int, id taskID, t int64) {
 }
 
 // placeAt commits a task at the given start time, updates worker state and
-// propagates readiness to successors.
+// propagates readiness to successors. A join is committed as soon as its
+// last contributor lands, at that contributor's end; it occupies no
+// worker and yields no placement.
 func (s *state) placeAt(id taskID, start int64) {
 	c := &s.tasks[id]
 	if c.placed {
@@ -441,6 +465,10 @@ func (s *state) placeAt(id taskID, start int64) {
 	c.start = start
 	c.end = start + dur
 	s.unplaced--
+	if c.join {
+		s.release(c)
+		return
+	}
 	s.placements = append(s.placements, schedule.Placement{Op: c.op, Start: c.start, End: c.end})
 
 	wi := s.widx[c.worker]
@@ -466,7 +494,12 @@ func (s *state) placeAt(id taskID, start int64) {
 	case c.op.Type == schedule.BWeight:
 		w.bwLeft[c.op.Iter]--
 	}
+	s.release(c)
+}
 
+// release propagates a committed task's end to its successors, firing
+// joins and waking the workers whose tasks became ready.
+func (s *state) release(c *task) {
 	for _, sc := range c.succs {
 		n := &s.tasks[sc.id]
 		if r := c.end + sc.comm; r > n.readyAt {
@@ -474,6 +507,10 @@ func (s *state) placeAt(id taskID, start int64) {
 		}
 		n.predsN--
 		if n.predsN == 0 {
+			if n.join {
+				s.placeAt(sc.id, n.readyAt)
+				continue
+			}
 			nwi, ok := s.widx[n.worker]
 			if !ok {
 				continue

@@ -182,11 +182,15 @@ func (h *Hint) uniformRescale(in Input) bool {
 // scratch dispatch untouched.
 func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok bool) {
 	n := len(s.tasks)
-	if len(hs.Placements) != n {
+	ops := n - s.joins
+	if len(hs.Placements) != ops {
 		return nil, false
 	}
 	hstart := make([]int64, n)
 	for id := range s.tasks {
+		if s.tasks[id].join {
+			continue
+		}
 		p, found := hs.At(s.tasks[id].op)
 		if !found {
 			return nil, false
@@ -198,6 +202,9 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 	// priority) breaking zero-duration ties deterministically.
 	seq := make([][]taskID, len(s.workers))
 	for id := range s.tasks {
+		if s.tasks[id].join {
+			continue
+		}
 		wi, found := s.widx[s.tasks[id].worker]
 		if !found {
 			return nil, false
@@ -236,12 +243,13 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 		arrived int
 	}
 	gprog := make(map[*optGroup]*groupProg, len(s.groups))
-	for _, g := range s.groups {
+	for gi := range s.groups {
+		g := &s.groups[gi]
 		for _, id := range g.tasks {
 			gOf[id] = g
 		}
 	}
-	out = make([]schedule.Placement, 0, n)
+	out = make([]schedule.Placement, 0, ops)
 	var queue []taskID
 	push := func(wi int) {
 		if chain[wi] < len(seq[wi]) {
@@ -250,25 +258,37 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 			}
 		}
 	}
-	finish := func(id taskID, start int64) {
+	// finish commits a task and releases its successors; a join fires as
+	// its last contributor finishes, occupying no worker.
+	var finish func(id taskID, start int64)
+	finish = func(id taskID, start int64) {
 		t := &s.tasks[id]
 		end := start + t.dur
-		out = append(out, schedule.Placement{Op: t.op, Start: start, End: end})
-		wi := s.widx[t.worker]
-		if end > wfree[wi] {
-			wfree[wi] = end
+		wi := -1
+		if !t.join {
+			out = append(out, schedule.Placement{Op: t.op, Start: start, End: end})
+			wi = s.widx[t.worker]
+			if end > wfree[wi] {
+				wfree[wi] = end
+			}
+			chain[wi]++
 		}
-		chain[wi]++
 		for _, sc := range t.succs {
 			if r := end + sc.comm; r > readyAt[sc.id] {
 				readyAt[sc.id] = r
 			}
 			depLeft[sc.id]--
 			if depLeft[sc.id] == 0 {
+				if s.tasks[sc.id].join {
+					finish(sc.id, readyAt[sc.id])
+					continue
+				}
 				push(s.widx[s.tasks[sc.id].worker])
 			}
 		}
-		push(wi)
+		if wi >= 0 {
+			push(wi)
+		}
 	}
 	for wi := range seq {
 		push(wi)
@@ -306,7 +326,7 @@ func (s *state) replayOrder(hs *schedule.Schedule) (out []schedule.Placement, ok
 		}
 		finish(id, max(readyAt[id], t.release, wfree[wi]))
 	}
-	if len(out) != n {
+	if len(out) != ops {
 		return nil, false // cyclic order or barrier deadlock — fall back
 	}
 	return out, true

@@ -291,6 +291,7 @@ type task struct {
 	start    int64
 	end      int64
 	critical bool // F / B / BInput
+	join     bool // all-reduce join: zero duration, no worker
 }
 
 type succ struct {
@@ -345,8 +346,11 @@ type state struct {
 	tasks   []task
 	workers []workerState
 	widx    map[schedule.Worker]int
-	groups  map[string]*optGroup // key: "iter/stage" or "iter/global"
+	groups  []optGroup // see group
 	events  eventQueue
+	// groupsPerIter is PP under the Staggered Optimizer, 1 otherwise;
+	// joins counts the all-reduce join tasks.
+	groupsPerIter, joins int
 	// wake[w] is the earliest pending wake event for worker w (MaxInt64
 	// when none); duplicate wake pushes are dropped to keep the event
 	// queue O(workers).
