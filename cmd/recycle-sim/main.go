@@ -1,16 +1,17 @@
-// Command recycle-sim runs the discrete-event training simulator (§6.3):
-// a fault-tolerant system (recycle | oobleck | bamboo | elastic | scaled)
-// is replayed against a failure workload (a monotonic failure frequency or
-// the GCP trace of Fig 9a) and the throughput timeline is printed.
-// ReCycle obtains every schedule through the plan service; -preplan runs
-// the offline phase (concurrent PlanAll into the replicated store) before
-// the replay starts, so failure events only ever hit precomputed plans.
+// Command recycle-sim runs the training simulator (§6.3) against a
+// failure workload: a monotonic failure frequency, the GCP trace of
+// Fig 9a, or per-machine Poisson failures.
 //
-// With -des N the simulator drops below steady-state scalars to the op
-// level: the plan for N failures is compiled into a Program (the same
-// artifact the live runtime interprets) and executed in virtual time,
-// optionally with a straggler (-straggle), and the per-iteration compute
-// makespans and per-worker utilization are printed.
+// ReCycle (-system recycle, the default) is replayed at op granularity
+// by internal/replay: chained compiled-Program executions whose
+// mid-iteration failures and re-joins splice the in-flight Program. The
+// baselines (oobleck | bamboo | elastic | scaled) are steady-state system
+// models driven by sim.Run, and print their throughput timeline.
+//
+// With -des N the simulator executes the compiled Program for N failures
+// op-by-op in virtual time instead, optionally with a straggler
+// (-straggle), and prints the per-iteration compute makespans and
+// per-worker utilization.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	"recycle/internal/baselines"
 	"recycle/internal/config"
+	"recycle/internal/engine"
 	"recycle/internal/experiments"
 	"recycle/internal/failure"
 	"recycle/internal/obs"
@@ -34,118 +36,108 @@ func main() {
 	model := flag.String("model", "medium", "model preset: medium | 3.35b | 6.7b")
 	system := flag.String("system", "recycle", "system: recycle | oobleck | bamboo | elastic | scaled")
 	freq := flag.Duration("freq", 30*time.Minute, "monotonic failure frequency")
-	gcp := flag.Bool("gcp", false, "replay the GCP availability trace instead")
+	gcp := flag.Bool("gcp", false, "replay the GCP availability trace instead (24-worker Fig 9 job: medium | 6.7b)")
 	horizon := flag.Duration("horizon", 6*time.Hour, "simulated duration")
-	preplan := flag.Bool("preplan", false, "run the offline phase first: precompute all tolerated plans concurrently")
 	des := flag.Int("des", -1, "execute the compiled Program for this failure count op-by-op in virtual time instead of replaying a trace")
 	straggle := flag.Float64("straggle", 1, "with -des: duration multiplier applied to worker W0_0 (straggler injection)")
 	aware := flag.Bool("aware", true, "with -des and -straggle != 1: also solve a straggler-aware plan (cost model carries the slowdown) and compare makespans")
-	replayMode := flag.Bool("replay", false, "drive the trace through op-granularity chained Program executions (internal/replay): mid-iteration failures and re-joins splice the in-flight Program, stalls emerge from lost instructions")
-	events := flag.Bool("events", false, "with -replay: print the recorded lifecycle-event log (membership changes, kills, cuts)")
-	tracePath := flag.String("trace", "", "with -des or -replay: record every executed Program and write a Chrome/Perfetto trace to this file (critical path audited first)")
+	events := flag.Bool("events", false, "with -system recycle: print the recorded lifecycle-event log (membership changes, kills, cuts)")
+	tracePath := flag.String("trace", "", "with -des or -system recycle: record every executed Program and write a Chrome/Perfetto trace to this file (critical path audited first)")
 	mtbf := flag.Duration("mtbf", 0, "per-machine Poisson failure trace: mean time between failures of each machine (0 keeps the monotonic workload)")
 	mttr := flag.Duration("mttr", 30*time.Minute, "with -mtbf: mean repair time of a failed machine (0 makes failures permanent)")
 	seed := flag.Int64("seed", 1, "with -mtbf: seed of the per-machine failure processes")
 	flag.Parse()
 
-	jobs := map[string]config.Job{
-		"medium": config.Table1Jobs()[0],
-		"3.35b":  config.Table1Jobs()[1],
-		"6.7b":   config.Table1Jobs()[2],
-	}
-	job, ok := jobs[*model]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(*system, *des >= 0, set); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	stats, err := profile.Analytic(job)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rc := sim.NewReCycle(job, stats)
 	if *des >= 0 {
-		if err := desTimeline(rc, job, stats, *des, *straggle, *aware, *tracePath); err != nil {
+		job, ok := table1Jobs[*model]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+			os.Exit(2)
+		}
+		if err := desTimeline(job, *des, *straggle, *aware, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *replayMode {
-		if err := opReplay(job, *model, *gcp, *freq, *horizon, *events, *mtbf, *mttr, *seed, *tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *preplan {
-		start := time.Now()
-		if err := rc.PrePlan(0); err != nil {
-			fmt.Fprintln(os.Stderr, "preplan:", err)
-			os.Exit(1)
-		}
-		m := rc.PlanMetrics()
-		fmt.Printf("offline phase: %d plans solved concurrently and replicated in %s\n\n",
-			m.Solves, time.Since(start).Round(time.Millisecond))
-	}
-	ff, err := rc.Throughput(0)
+	job, tr, err := workload(*model, *gcp, *freq, *horizon, *mtbf, *mttr, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	common, err := baselines.NewCommon(job, stats, ff)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	systems := map[string]sim.System{
-		"recycle": rc,
-		"oobleck": baselines.Oobleck{C: common},
-		"bamboo":  baselines.Bamboo{C: common},
-		"elastic": baselines.Elastic{C: common},
-		"scaled":  baselines.FaultScaled{C: common},
-	}
-	sys, ok := systems[*system]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
 		os.Exit(2)
 	}
-	var tr failure.Trace
-	switch {
-	case *gcp:
-		tr = failure.GCP()
-	case *mtbf > 0:
-		tr = failure.PoissonMachines(job.Parallel.Workers(), *mtbf, *mttr, *horizon, *seed)
-	default:
-		tr = failure.Monotonic(job.Parallel.Workers(), *freq, *horizon)
+	if *system == "recycle" {
+		err = opReplay(job, tr, *horizon, *events, *tracePath)
+	} else {
+		err = scalarRun(job, *system, tr, *horizon)
 	}
-	res := sim.Run(sys, tr, *horizon)
-	if res.OOM {
-		fmt.Printf("%s cannot train %s: %v\n", sys.Name(), job.Model.Name, res.Err)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s on %s over %s (%s):\n", sys.Name(), job.Model.Name, *horizon, tr.Name)
-	fmt.Printf("%10s %10s %8s %14s %10s\n", "from", "to", "failed", "samples/s", "stall")
-	for _, p := range res.Timeline {
-		fmt.Printf("%10s %10s %8d %14.2f %10s\n",
-			p.Start.Round(time.Second), p.End.Round(time.Second), p.Failed, p.Throughput, p.Stall.Round(time.Millisecond))
-	}
-	fmt.Printf("\naverage throughput: %.2f samples/s (fault-free %.2f, ratio %.3f)\n", res.Average, ff, res.Average/ff)
-	m := rc.PlanMetrics()
-	fmt.Printf("plan service: %d solves, %d cache hits, %d store hits, %d Best(n) hits\n",
-		m.Solves, m.CacheHits, m.StoreHits, m.BestHits)
 }
 
-// opReplay drives the selected trace through internal/replay: chained
-// compiled-Program executions, one per membership state, with
-// mid-iteration failures and re-joins spliced into the in-flight Program.
-// Victims come from the trace's machine identities. The GCP trace is
-// sized for 24 workers, so -gcp selects the Fig 9 24-worker variant of
-// the model; -mtbf replaces the monotonic workload with per-machine
-// Poisson failure processes; plain monotonic traces replay the Table 1
-// 32-worker shape.
-func opReplay(job config.Job, model string, gcp bool, freq, horizon time.Duration, events bool, mtbf, mttr time.Duration, seed int64, tracePath string) error {
-	var tr failure.Trace
+// table1Jobs maps each -model preset to its 32-worker Table 1 job.
+var table1Jobs = map[string]config.Job{
+	"medium": config.Table1Jobs()[0],
+	"3.35b":  config.Table1Jobs()[1],
+	"6.7b":   config.Table1Jobs()[2],
+}
+
+// modeFlags lists the flags each mode reads besides -model. A flag set
+// explicitly outside its mode is an error rather than silently ignored.
+var modeFlags = map[string][]string{
+	"des":      {"des", "straggle", "aware", "trace"},
+	"recycle":  {"system", "freq", "gcp", "horizon", "mtbf", "mttr", "seed", "events", "trace"},
+	"baseline": {"system", "freq", "gcp", "horizon", "mtbf", "mttr", "seed"},
+}
+
+// checkFlags rejects an unknown -system and any of the explicitly set
+// flags that the selected mode does not read.
+func checkFlags(system string, des bool, set []string) error {
+	mode := "recycle"
+	switch {
+	case des:
+		mode = "des"
+	case system == "oobleck" || system == "bamboo" || system == "elastic" || system == "scaled":
+		mode = "baseline"
+	case system != "recycle":
+		return fmt.Errorf("unknown system %q", system)
+	}
+	reads := map[string]bool{"model": true}
+	for _, f := range modeFlags[mode] {
+		reads[f] = true
+	}
+	for _, f := range set {
+		if reads[f] {
+			continue
+		}
+		if mode == "des" {
+			return fmt.Errorf("-%s has no effect with -des", f)
+		}
+		if f == "des" || f == "straggle" || f == "aware" {
+			return fmt.Errorf("-%s has no effect without -des", f)
+		}
+		return fmt.Errorf("-%s has no effect with -system %s", f, system)
+	}
+	return nil
+}
+
+// workload returns the failure trace the flags select and the job it
+// runs against. The GCP trace is sized for 24 workers, so -gcp selects
+// the Fig 9 24-worker variant of the model; -mtbf replaces the monotonic
+// workload with per-machine Poisson failure processes; monotonic traces
+// run the 32-worker Table 1 job.
+func workload(model string, gcp bool, freq, horizon, mtbf, mttr time.Duration, seed int64) (config.Job, failure.Trace, error) {
+	job, ok := table1Jobs[model]
+	if !ok {
+		return config.Job{}, failure.Trace{}, fmt.Errorf("unknown model %q", model)
+	}
 	switch {
 	case gcp:
 		switch model {
@@ -154,14 +146,58 @@ func opReplay(job config.Job, model string, gcp bool, freq, horizon time.Duratio
 		case "6.7b":
 			job = experiments.Figure9Jobs()[1]
 		default:
-			return fmt.Errorf("-replay -gcp needs a 24-worker Fig 9 preset (medium | 6.7b), not %q", model)
+			return config.Job{}, failure.Trace{}, fmt.Errorf("-gcp needs a 24-worker Fig 9 preset (medium | 6.7b), not %q", model)
 		}
-		tr = failure.GCP()
+		return job, failure.GCP(), nil
 	case mtbf > 0:
-		tr = failure.PoissonMachines(job.Parallel.Workers(), mtbf, mttr, horizon, seed)
+		return job, failure.PoissonMachines(job.Parallel.Workers(), mtbf, mttr, horizon, seed), nil
 	default:
-		tr = failure.Monotonic(job.Parallel.Workers(), freq, horizon)
+		return job, failure.Monotonic(job.Parallel.Workers(), freq, horizon), nil
 	}
+}
+
+// scalarRun replays the trace against a baseline's steady-state model,
+// normalized to the throughput of ReCycle's fault-free plan.
+func scalarRun(job config.Job, system string, tr failure.Trace, horizon time.Duration) error {
+	stats, err := profile.Analytic(job)
+	if err != nil {
+		return err
+	}
+	eng := engine.New(job, stats, engine.Options{})
+	plan0, err := eng.Plan(0)
+	if err != nil {
+		return err
+	}
+	ff := eng.ThroughputSamplesPerSec(plan0)
+	common, err := baselines.NewCommon(job, stats, ff)
+	if err != nil {
+		return err
+	}
+	sys := map[string]sim.System{
+		"oobleck": baselines.Oobleck{C: common},
+		"bamboo":  baselines.Bamboo{C: common},
+		"elastic": baselines.Elastic{C: common},
+		"scaled":  baselines.FaultScaled{C: common},
+	}[system]
+	res := sim.Run(sys, tr, horizon)
+	if res.OOM {
+		return fmt.Errorf("%s cannot train %s: %v", sys.Name(), job.Model.Name, res.Err)
+	}
+	fmt.Printf("%s on %s over %s (%s):\n", sys.Name(), job.Model.Name, horizon, tr.Name)
+	fmt.Printf("%10s %10s %8s %14s %10s\n", "from", "to", "failed", "samples/s", "stall")
+	for _, p := range res.Timeline {
+		fmt.Printf("%10s %10s %8d %14.2f %10s\n",
+			p.Start.Round(time.Second), p.End.Round(time.Second), p.Failed, p.Throughput, p.Stall.Round(time.Millisecond))
+	}
+	fmt.Printf("\naverage throughput: %.2f samples/s (fault-free %.2f, ratio %.3f)\n", res.Average, ff, res.Average/ff)
+	return nil
+}
+
+// opReplay drives the trace through internal/replay: chained
+// compiled-Program executions, one per membership state, with
+// mid-iteration failures and re-joins spliced into the in-flight Program.
+// Victims come from the trace's machine identities.
+func opReplay(job config.Job, tr failure.Trace, horizon time.Duration, events bool, tracePath string) error {
 	eng, stats, err := experiments.ReplayEngine(job, nil)
 	if err != nil {
 		return err
@@ -222,12 +258,17 @@ func exportTrace(rec *obs.Trace, path string) error {
 }
 
 // desTimeline compiles the plan for n failures into a Program and executes
-// it op-by-op in virtual time — the schedule-accurate view the scalar
+// it op-by-op in virtual time — the schedule-accurate view a steady-state
 // throughput model cannot give. With a straggler injected, it additionally
 // re-solves with the slowdown in the Planner's cost model and reports how
 // much makespan the straggler-aware plan recovers.
-func desTimeline(rc *sim.ReCycle, job config.Job, stats profile.Stats, n int, straggle float64, aware bool, tracePath string) error {
-	prog, err := rc.Program(n)
+func desTimeline(job config.Job, n int, straggle float64, aware bool, tracePath string) error {
+	stats, err := profile.Analytic(job)
+	if err != nil {
+		return err
+	}
+	eng := engine.New(job, stats, engine.Options{})
+	prog, err := eng.Program(n)
 	if err != nil {
 		return err
 	}
@@ -275,7 +316,7 @@ func desTimeline(rc *sim.ReCycle, job config.Job, stats profile.Stats, n int, st
 		fmt.Printf("  aware plan makespan:     %d slots (victim executes %d compute ops)\n", row.AwareSlots, row.VictimOpsAware)
 		fmt.Printf("  throughput gain from re-planning: %+.1f%%\n", row.GainPct)
 	}
-	m := rc.PlanMetrics()
+	m := eng.Metrics()
 	fmt.Printf("plan service: %d solves, %d programs compiled\n", m.Solves, m.Compiles)
 	if tracePath != "" {
 		return exportTrace(rec, tracePath)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"recycle/internal/baselines"
+	"recycle/internal/engine"
 	"recycle/internal/experiments"
 	"recycle/internal/failure"
 	"recycle/internal/profile"
@@ -61,12 +62,13 @@ func main() {
 		res.StallSeconds, res.LostSlots)
 	fmt.Printf("  %d micro-batch triples migrated owners across splices\n\n", res.MigratedTriples)
 
-	rc := sim.NewReCycle(job, stats)
-	ff, err := rc.Throughput(0)
+	// The baselines are normalized to ReCycle's fault-free plan.
+	ffEng := engine.New(job, stats, engine.Options{})
+	plan0, err := ffEng.Plan(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	common, err := baselines.NewCommon(job, stats, ff)
+	common, err := baselines.NewCommon(job, stats, ffEng.ThroughputSamplesPerSec(plan0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,6 @@
 package baselines
 
 import (
-	"fmt"
-
 	"recycle/internal/config"
 	"recycle/internal/model"
 	"recycle/internal/profile"
@@ -36,11 +34,6 @@ func NewCommon(job config.Job, stats profile.Stats, faultFree float64) (Common, 
 		return Common{}, err
 	}
 	return Common{Job: job, Stats: stats, Costs: costs, FaultFree: faultFree}, nil
-}
-
-// slotSeconds converts stats units into seconds.
-func (c Common) slotSeconds(units int64) float64 {
-	return float64(units) * c.Stats.UnitSeconds
 }
 
 // iterSeconds1F1B returns the fault-free 1F1B iteration latency with a
@@ -97,5 +90,3 @@ func (s Elastic) ReconfigStall(prev, next int) float64 {
 	}
 	return 10
 }
-
-var _ = fmt.Sprintf // reserved for error paths of future baselines

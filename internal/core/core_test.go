@@ -160,26 +160,35 @@ func TestPlannerSchedulesValidate(t *testing.T) {
 	}
 }
 
-// TestPlanAllAndStore checks the offline phase: plans for 0..DP-1 failures
-// land in the store and Best falls back to larger plans.
+// TestPlanAllAndStore checks the offline phase: plans for every failure
+// count in 0..DP-1 land in the store, Best returns an exact plan when one
+// is stored and falls back to the next larger plan otherwise.
 func TestPlanAllAndStore(t *testing.T) {
 	p := testPlanner(t)
 	store := NewPlanStore()
-	if err := p.PlanAll(store, 0); err != nil {
-		t.Fatal(err)
+	for f := 0; f < p.Job.Parallel.DP; f++ {
+		if f == 1 {
+			continue // leave a gap for the fallback
+		}
+		plan, err := p.PlanFor(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(plan); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := store.Len(), p.Job.Parallel.DP; got != want {
+	if got, want := store.Len(), p.Job.Parallel.DP-1; got != want {
 		t.Fatalf("store has %d plans, want %d", got, want)
 	}
-	if _, ok := store.Get(2); !ok {
-		t.Fatal("missing plan for 2 failures")
-	}
-	if store.MaxFailures() != p.Job.Parallel.DP-1 {
-		t.Fatalf("max failures %d, want %d", store.MaxFailures(), p.Job.Parallel.DP-1)
-	}
-	// Best for a missing exact count returns the next larger plan.
 	if plan, ok := store.Best(0); !ok || plan.Failures != 0 {
 		t.Fatal("Best(0) should return the exact plan")
+	}
+	if plan, ok := store.Best(1); !ok || plan.Failures != 2 {
+		t.Fatal("Best(1) should fall back to the 2-failure plan")
+	}
+	if _, ok := store.Best(p.Job.Parallel.DP); ok {
+		t.Fatal("Best beyond the largest stored plan should miss")
 	}
 }
 

@@ -68,10 +68,11 @@ func NormalizeFailures(dp, pp, mb, failures int) ([]int, error) {
 //
 //	COST(f) = max(0, MB*f*3/(DP-f) - (PP-1)*3)     (scaled by 1024)
 //
-// The paper's literal expression (see PaperCost) is linear in f, so every
-// way of splitting F failures across stages costs the same once bubbles
-// are exhausted and the DP's stated goal — "evenly balance the additional
-// workload" (§4.2.1 intuition a) — never emerges from it. Iteration
+// The paper's literal stage-total expression, max(0, MB*f*3 -
+// (DP-f)*(PP-1)*3), is linear in f once bubbles are exhausted, so every
+// way of splitting F failures across stages costs the same and the DP's
+// stated goal — "evenly balance the additional workload" (§4.2.1
+// intuition a) — never emerges from it. Iteration
 // latency is gated by the most-loaded surviving peer group, and the
 // per-peer form is convex in f, which makes the DP prefer balanced
 // assignments exactly as the paper intends. Ties still shift failures to
@@ -91,21 +92,6 @@ func NormalizationCost(dp, pp, mb, f int) int64 {
 		return 0
 	}
 	return demandPerPeer - supply
-}
-
-// PaperCost is the literal line-27 heuristic of Algorithm 1 (with the
-// min/max typo corrected): the stage-total unabsorbed slot count. Kept for
-// reference and for the ablation comparing normalization policies.
-func PaperCost(dp, pp, mb, f int) int64 {
-	if f <= 0 {
-		return 0
-	}
-	demand := int64(mb) * int64(f) * 3
-	supply := int64(dp-f) * int64(pp-1) * 3
-	if demand <= supply {
-		return 0
-	}
-	return demand - supply
 }
 
 // AssignmentWorkers converts a per-stage failure assignment into a

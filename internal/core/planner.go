@@ -229,25 +229,6 @@ func (p *Planner) solve(sh schedule.Shape, assign []int, failed []schedule.Worke
 	}, nil
 }
 
-// PlanAll precomputes plans for 0..maxFailures simultaneous failures (the
-// offline phase of Fig 8) and stores them in the given store. maxFailures
-// <= 0 selects the job's fault-tolerance threshold (default DP-1).
-func (p *Planner) PlanAll(store *PlanStore, maxFailures int) error {
-	if maxFailures <= 0 {
-		maxFailures = p.Job.MaxPlannedFailures()
-	}
-	for f := 0; f <= maxFailures; f++ {
-		plan, err := p.PlanFor(f)
-		if err != nil {
-			return fmt.Errorf("core: planning %d failures: %w", f, err)
-		}
-		if err := store.Put(plan); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // IterationSeconds converts a plan's steady-state period into wall-clock
 // seconds using the profile's duration unit.
 func (p *Planner) IterationSeconds(plan *Plan) float64 {

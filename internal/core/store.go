@@ -32,14 +32,6 @@ func (s *PlanStore) Put(p *Plan) error {
 	return nil
 }
 
-// Get returns the plan for exactly n failures.
-func (s *PlanStore) Get(n int) (*Plan, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.plans[n]
-	return p, ok
-}
-
 // Best returns the plan for n failures, or the smallest stored plan
 // covering more than n failures if the exact count is missing (a plan for
 // more failures always routes around at least the workers that are down).
@@ -60,20 +52,6 @@ func (s *PlanStore) Best(n int) (*Plan, bool) {
 	}
 	sort.Ints(keys)
 	return s.plans[keys[0]], true
-}
-
-// MaxFailures returns the largest failure count with a stored plan, or -1
-// when empty.
-func (s *PlanStore) MaxFailures() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	maxF := -1
-	for k := range s.plans {
-		if k > maxF {
-			maxF = k
-		}
-	}
-	return maxF
 }
 
 // Len returns the number of stored plans.

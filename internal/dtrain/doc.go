@@ -26,7 +26,7 @@
 // MarkStraggler, which retunes the plan service's cost model) fires only
 // when the observed factor moves enough to change the routing.
 //
-// A repaired worker can re-join a running iteration: RunIterationRejoin
+// A repaired worker can re-join a running iteration: RunIterationCascade
 // cuts the in-flight Program at a logical slot, executes the prefix the
 // DES predicts completed (agreement by construction makes that the
 // runtime's own prefix), restores the worker's parameters at the splice

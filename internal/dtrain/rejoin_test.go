@@ -47,7 +47,7 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 	}
 	cut := full.ComputeMakespan(0) / 3
 
-	loss, err := rt.RunIterationRejoin(w, cut)
+	loss, err := rt.RunIterationCascade([]CascadeEvent{{Cut: cut, Rejoin: []schedule.Worker{w}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRejoinMidIterationResumesBeforeBoundary(t *testing.T) {
 	}
 }
 
-// TestRejoinAllReduceNeverSplits pins the invariant RunIterationRejoin's
+// TestRejoinAllReduceNeverSplits pins the invariant RunIterationCascade's
 // rendezvous guard defends (and why it cannot trip on single-iteration
 // programs): a stage's optimizer steps all gate on the same all-reduce
 // barrier, so for every possible cut they land on one side of the event
@@ -163,10 +163,10 @@ func TestRejoinAllReduceNeverSplits(t *testing.T) {
 		}
 	}
 	// Degenerate inputs are rejected up front.
-	if _, err := rt.RunIterationRejoin(w, 0); err == nil {
+	if _, err := rt.RunIterationCascade([]CascadeEvent{{Cut: 0, Rejoin: []schedule.Worker{w}}}); err == nil {
 		t.Fatal("cut slot 0 was accepted")
 	}
-	if _, err := rt.RunIterationRejoin(schedule.Worker{Stage: 0, Pipeline: 0}, 5); err == nil {
+	if _, err := rt.RunIterationCascade([]CascadeEvent{{Cut: 5, Rejoin: []schedule.Worker{{Stage: 0, Pipeline: 0}}}}); err == nil {
 		t.Fatal("re-joining a live worker was accepted")
 	}
 	if rt.FailedCount() != 1 {

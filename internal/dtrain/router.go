@@ -51,16 +51,10 @@ type payload struct {
 	grads    []*tensor.Matrix
 }
 
-// stashEntry is one slot of the send stash ring.
-type stashEntry struct {
-	p     payload
-	acked bool
-}
-
 // sendStash is the PipeDream-style stash-and-replay send buffer: every
 // cross-worker payload is stashed under its msgKey before it is offered to
-// the rendezvous channel, stays replayable until acknowledged, and is
-// garbage-collected at iteration boundaries (ackIteration). The ring is
+// the rendezvous channel and stays replayable until the iteration-boundary
+// GC (ackIteration) acknowledges and collects it. The ring is
 // one slot deep per key by construction: a msgKey is sent at most twice in
 // one iteration — the original send plus at most one re-derived send when
 // the producer itself is re-executed after a failure — and both copies are
@@ -68,39 +62,26 @@ type stashEntry struct {
 // same replica parameters), so latest-wins overwrite loses nothing.
 type sendStash struct {
 	mu sync.Mutex
-	m  map[msgKey]*stashEntry
+	m  map[msgKey]payload
 }
 
-func newSendStash() *sendStash { return &sendStash{m: make(map[msgKey]*stashEntry)} }
+func newSendStash() *sendStash { return &sendStash{m: make(map[msgKey]payload)} }
 
-// put stashes a payload for later replay. Re-stashing an acknowledged key
-// re-opens it (a fresh send is a fresh obligation).
+// put stashes a payload for later replay. Re-stashing a key collected by
+// its iteration's GC re-opens it (a fresh send is a fresh obligation).
 func (s *sendStash) put(k msgKey, p payload) {
 	s.mu.Lock()
-	s.m[k] = &stashEntry{p: p}
+	s.m[k] = p
 	s.mu.Unlock()
 }
 
-// replay returns the stashed payload for k when one is replayable: present
-// and not acknowledged. Acknowledged payloads are never replayable.
+// replay returns the stashed payload for k when one is replayable: sent
+// and not yet collected by its iteration's boundary GC.
 func (s *sendStash) replay(k msgKey) (payload, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.m[k]
-	if !ok || e.acked {
-		return payload{}, false
-	}
-	return e.p, true
-}
-
-// ack marks one payload acknowledged: its effects are durable and it must
-// never be replayed again.
-func (s *sendStash) ack(k msgKey) {
-	s.mu.Lock()
-	if e, ok := s.m[k]; ok {
-		e.acked = true
-	}
-	s.mu.Unlock()
+	p, ok := s.m[k]
+	return p, ok
 }
 
 // ackIteration acknowledges and garbage-collects every stashed payload of
@@ -119,8 +100,7 @@ func (s *sendStash) ackIteration(iter int) int {
 	return n
 }
 
-// len returns the number of stashed entries (acked entries included until
-// their iteration's GC collects them).
+// len returns the number of stashed entries.
 func (s *sendStash) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,10 +10,10 @@ import (
 )
 
 // TestStashRingProperty drives the send stash through seeded interleavings
-// of send, ack and iteration GC, checking the protocol invariant after
+// of send and iteration GC, checking the protocol invariant after
 // every step: a payload is replayable if and only if it was sent and not
-// since acknowledged (individually or by its iteration's boundary GC), and
-// what replays is always the latest copy sent.
+// since collected by its iteration's boundary GC, and what replays is
+// always the latest copy sent.
 func TestStashRingProperty(t *testing.T) {
 	keys := make([]msgKey, 0, 12)
 	for i := 0; i < 12; i++ {
@@ -28,18 +28,15 @@ func TestStashRingProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := newSendStash()
-		model := make(map[msgKey]*tensor.Matrix) // unacked payloads only
+		model := make(map[msgKey]*tensor.Matrix) // uncollected payloads only
 		for step := 0; step < 300; step++ {
 			k := keys[rng.Intn(len(keys))]
-			switch rng.Intn(3) {
-			case 0: // send (a re-send of an acked key re-opens it)
+			switch rng.Intn(2) {
+			case 0: // send (a re-send of a collected key re-opens it)
 				m := &tensor.Matrix{Rows: step}
 				s.put(k, payload{mat: m})
 				model[k] = m
-			case 1: // acknowledge one payload
-				s.ack(k)
-				delete(model, k)
-			case 2: // iteration-boundary GC
+			case 1: // iteration-boundary GC
 				it := rng.Intn(2)
 				s.ackIteration(it)
 				for mk := range model {
@@ -64,7 +61,7 @@ func TestStashRingProperty(t *testing.T) {
 
 // TestStashIterationGCBoundsMemory is the regression test that the
 // iteration-boundary GC actually bounds stash memory: every iteration's
-// entries — acked or not — are collected at its boundary, so the stash
+// entries are collected at its boundary, so the stash
 // never holds more than one iteration's cross-worker traffic.
 func TestStashIterationGCBoundsMemory(t *testing.T) {
 	s := newSendStash()
@@ -73,7 +70,6 @@ func TestStashIterationGCBoundsMemory(t *testing.T) {
 		for i := 0; i < perIter; i++ {
 			s.put(msgKey{kind: msgAct, stage: i, iter: it, mb: nn.MBKey{MB: i}}, payload{})
 		}
-		s.ack(msgKey{kind: msgAct, stage: 0, iter: it, mb: nn.MBKey{MB: 0}})
 		if got := s.len(); got != perIter {
 			t.Fatalf("iteration %d: stash holds %d entries before its GC, want %d (leak across boundaries)", it, got, perIter)
 		}
@@ -177,7 +173,7 @@ func TestRecvPrefersLiveChannelThenStash(t *testing.T) {
 // a second (and Nth) time. Nothing may acknowledge the stash mid-cascade —
 // the only ack point is the iteration-boundary GC after the final phase —
 // so every re-request before it must still replay, and a fresh send after
-// an ack must re-open the obligation.
+// it must re-open the obligation.
 func TestChaosRouterStashSurvivesSecondLoss(t *testing.T) {
 	s := newSendStash()
 	k := msgKey{kind: msgAct, stage: 1, iter: 2, mb: nn.MBKey{Pipeline: 0, MB: 1}, peer: 1}
@@ -203,15 +199,10 @@ func TestChaosRouterStashSurvivesSecondLoss(t *testing.T) {
 	if _, ok := s.replay(k); ok {
 		t.Fatal("payload replayed after its iteration was acknowledged")
 	}
-	// A per-key ack also blocks replay, and a fresh send re-opens it: a
-	// re-planned producer's new send is a new obligation.
-	s.put(k, payload{mat: m})
-	s.ack(k)
-	if _, ok := s.replay(k); ok {
-		t.Fatal("acked payload replayed")
-	}
+	// A fresh send re-opens it: a re-planned producer's new send is a new
+	// obligation.
 	s.put(k, payload{mat: m})
 	if _, ok := s.replay(k); !ok {
-		t.Fatal("re-stash after ack did not re-open the obligation")
+		t.Fatal("re-stash after the boundary GC did not re-open the obligation")
 	}
 }

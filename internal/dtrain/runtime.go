@@ -257,18 +257,9 @@ func (rt *Runtime) PlanStore() *planstore.Store { return rt.eng.Store() }
 
 // PrePlan precomputes normalized plans for 0..maxFailures concurrently and
 // replicates them — the offline Planner phase of Fig 8, run to completion
-// before training starts. Training that wants to begin immediately uses
-// Warm instead and lets coverage build in the background.
+// before training starts.
 func (rt *Runtime) PrePlan(maxFailures int) error {
 	return rt.eng.Warm(maxFailures).Wait()
-}
-
-// Warm starts the background warming pipeline for 0..maxFailures
-// normalized plans and returns without blocking; iterations can start
-// while coverage builds, and a failure that arrives before its plan is
-// warmed simply coalesces onto (or triggers) the solve.
-func (rt *Runtime) Warm(maxFailures int) *engine.Warmer {
-	return rt.eng.Warm(maxFailures)
 }
 
 // PlanMetrics reports the plan service's traffic counters: how many
@@ -376,14 +367,6 @@ func maxEnd(ends []int64) int64 {
 		}
 	}
 	return out
-}
-
-// RunIterationRejoin executes one training iteration during which the
-// failed worker w re-joins mid-iteration, at logical slot cutSlot — the
-// live-runtime half of the replay subsystem's splice path. See
-// runCascadeIteration for the phased mechanics.
-func (rt *Runtime) RunIterationRejoin(w schedule.Worker, cutSlot int64) (float64, error) {
-	return rt.runCascadeIteration([]CascadeEvent{{Cut: cutSlot, Rejoin: []schedule.Worker{w}}})
 }
 
 // RunIterationFailure executes one training iteration during which the
@@ -763,7 +746,7 @@ func (rt *Runtime) exec(w schedule.Worker, prog *schedule.Program, board *depBoa
 // ends + comm) — and posts each instruction's logical span back to the
 // board, so the executed timeline is the simulator's prediction realized.
 // preds carries the worker's last-stage predictions awaiting their loss;
-// a splice resumption (RunIterationRejoin) threads it across phases so a
+// a splice resumption (RunIterationCascade) threads it across phases so a
 // forward executed before the event meets its backward after it.
 func (rt *Runtime) execOps(w schedule.Worker, prog *schedule.Program, board *depBoard, r *router, stream []int, clock int64, preds map[nn.MBKey]*tensor.Matrix) error {
 	st := rt.stages[w]
@@ -1092,19 +1075,4 @@ func (rt *Runtime) MeasuredWorkerTimes() map[schedule.Worker]time.Duration {
 // compute ops have been timed for the means to be meaningful.
 func (rt *Runtime) Recalibrate() (engine.Recalibration, error) {
 	return rt.eng.Recalibrate(rt.MeasuredWorkerTimes())
-}
-
-// MeasuredTimes returns the mean wall-clock duration per op type observed
-// so far — the live runtime's Profiler output, used by the Table 2
-// sim-fidelity experiment.
-func (rt *Runtime) MeasuredTimes() map[schedule.OpType]time.Duration {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[schedule.OpType]time.Duration)
-	for t, total := range rt.opSeconds {
-		if n := rt.opCounts[t]; n > 0 {
-			out[t] = total / time.Duration(n)
-		}
-	}
-	return out
 }

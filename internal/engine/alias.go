@@ -21,8 +21,6 @@ type (
 	Plan = core.Plan
 	// Planner is the plan-generation core (normalization + solve).
 	Planner = core.Planner
-	// PlanStore is the in-process per-failure-count plan index.
-	PlanStore = core.PlanStore
 )
 
 // AllTechniques is the full ReCycle configuration.
@@ -34,9 +32,6 @@ var AllTechniques = core.AllTechniques
 func NewPlanner(job config.Job, stats profile.Stats) *Planner {
 	return core.New(job, stats)
 }
-
-// NewPlanStore returns an empty in-process plan store.
-func NewPlanStore() *PlanStore { return core.NewPlanStore() }
 
 // NormalizeFailures runs Failure Normalization (Algorithm 1): how many
 // failures to migrate to each pipeline stage.

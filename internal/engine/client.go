@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
 	"recycle/internal/config"
 	"recycle/internal/core"
@@ -14,8 +13,8 @@ import (
 // Client is a fetch-only view of a shared replicated plan store: it
 // derives the same key namespace an Engine with the same configuration
 // uses, but carries no planner, no solver and no caches. A remote
-// executor holds one to pull plans and compiled Program artifacts
-// directly from the store — the coordinator that solved and compiled them
+// executor holds one to pull compiled Program artifacts directly from
+// the store — the coordinator that solved and compiled them
 // does not have to be alive, which is what makes the plan service
 // horizontally shardable.
 type Client struct {
@@ -38,24 +37,6 @@ func NewClient(store *planstore.Store, job config.Job, stats profile.Stats, opts
 	}
 	fp := Fingerprint(planner.Job, planner.Stats, planner.Techniques, planner.UnrollIterations, planner.Costs.Signature())
 	return &Client{store: store, fp: fp}
-}
-
-// Fingerprint returns the job fingerprint this client addresses.
-func (c *Client) Fingerprint() string { return c.fp }
-
-// Plan fetches and decodes the normalized plan for n simultaneous
-// failures. It never solves: a miss means no engine has replicated that
-// plan yet.
-func (c *Client) Plan(n int) (*core.Plan, error) {
-	key := "plans/" + c.fp + "/n/" + strconv.Itoa(n)
-	data, ok, err := c.store.Get(key)
-	if err != nil {
-		return nil, fmt.Errorf("engine: client plan fetch: %w", err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("engine: no replicated plan for %d failures (namespace %s)", n, c.fp)
-	}
-	return DecodePlan(data)
 }
 
 // SplicedProgram fetches and decodes the mid-iteration spliced Program a

@@ -319,18 +319,6 @@ func (e *Engine) CostModel() *profile.CostModel {
 	return e.planner.Costs
 }
 
-// SetCostModel installs a cost model. The model is treated as immutable:
-// callers must not mutate it after handing it over (use the copy-on-write
-// With* methods to derive variants). The change invalidates lazily: plans
-// already cached stay addressable under their old fingerprint, and the
-// next fetch sees a stale configuration snapshot, rebuilds it, and keys
-// into the new model's namespace — no map is swept and no fetch blocks.
-func (e *Engine) SetCostModel(cm *profile.CostModel) {
-	e.confMu.Lock()
-	e.planner.Costs = cm
-	e.confMu.Unlock()
-}
-
 // MarkStraggler records that a worker runs its ops at the given multiple
 // of the profiled durations (a gray failure, the paper's slow-but-alive
 // discussion) — the re-plan trigger the Detector's straggler callback

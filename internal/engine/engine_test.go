@@ -39,15 +39,10 @@ func TestPlanAllParallelMatchesSequential(t *testing.T) {
 
 	seq := core.New(job, stats)
 	seq.UnrollIterations = 2
-	store := core.NewPlanStore()
-	if err := seq.PlanAll(store, 0); err != nil {
-		t.Fatal(err)
-	}
-
 	for f := 0; f < job.Parallel.DP; f++ {
-		want, ok := store.Get(f)
-		if !ok {
-			t.Fatalf("sequential store missing plan for %d failures", f)
+		want, err := seq.PlanFor(f)
+		if err != nil {
+			t.Fatalf("sequential plan for %d failures: %v", f, err)
 		}
 		got, err := eng.Plan(f)
 		if err != nil {
@@ -64,7 +59,7 @@ func TestPlanAllParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	if m := eng.Metrics(); m.Solves != uint64(job.Parallel.DP) {
-		t.Errorf("PlanAll ran %d solves, want %d", m.Solves, job.Parallel.DP)
+		t.Errorf("Warm ran %d solves, want %d", m.Solves, job.Parallel.DP)
 	}
 }
 

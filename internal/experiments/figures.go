@@ -109,13 +109,12 @@ func ReplayEngine(job config.Job, techniques *engine.Techniques) (*engine.Engine
 	return engine.New(job, stats, opts), stats, nil
 }
 
-// ReplayOptions derives the replay event latencies from the same
-// quantities the scalar model used to charge analytically: a 5s detection
-// delay per failure, and one stage-parameter copy per re-join. Both
+// ReplayOptions derives the replay event latencies: a 5s detection delay
+// per failure, and one stage-parameter copy per re-join. Both
 // surface as release floors whose cost emerges as idle instructions in
 // the spliced schedules.
 func ReplayOptions(job config.Job, stats profile.Stats) replay.Options {
-	copySec := sim.StageCopySeconds(stats, job.Hardware)
+	copySec := stageCopySeconds(stats, job.Hardware)
 	return replay.Options{
 		Horizon:     Horizon,
 		DetectDelay: 5 * time.Second,
@@ -137,7 +136,7 @@ func Figure9() ([]Figure9Result, string, error) {
 	fmt.Fprintf(&b, "Fig 9: GCP trace replay at op granularity (%d workers, min availability %d, avg %.1f)\n",
 		tr.Total, tr.MinAvailable(), tr.Average(Horizon))
 	for _, job := range Figure9Jobs() {
-		_, systems, ff, err := systemsFor(job)
+		systems, ff, err := systemsFor(job)
 		if err != nil {
 			return nil, "", err
 		}
@@ -159,9 +158,6 @@ func Figure9() ([]Figure9Result, string, error) {
 		fmt.Fprintf(&b, "  %-12s  emergent stall %.1fs, %d slots of completed work re-executed)\n",
 			"", rep.StallSeconds, rep.LostSlots)
 		for _, s := range systems {
-			if s.Name() == "ReCycle" {
-				continue // replayed at op granularity above
-			}
 			res := sim.Run(s, tr, Horizon)
 			if res.OOM {
 				r.OOM[s.Name()] = true

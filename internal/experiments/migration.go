@@ -8,7 +8,6 @@ import (
 	"recycle/internal/config"
 	"recycle/internal/failure"
 	"recycle/internal/replay"
-	"recycle/internal/sim"
 )
 
 // MigrationRow compares ReCycle's measured state movement under
@@ -38,9 +37,7 @@ type MigrationRow struct {
 	ReplayStallSeconds float64
 	// NormalizationCopies and NormalizationStallSeconds are the scalar
 	// failure-normalization charge for the same trace: one stage-parameter
-	// copy per failure plus a detection delay per event — what
-	// sim.ReCycle.ReconfigStall bills before this repo replaced ReCycle's
-	// evaluation path with the replayer.
+	// copy per failure plus a detection delay per event.
 	NormalizationCopies       int
 	NormalizationStallSeconds float64
 }
@@ -55,7 +52,7 @@ func MigrationJob(job config.Job) ([]MigrationRow, error) {
 		return nil, err
 	}
 	opts := ReplayOptions(job, stats)
-	copySec := sim.StageCopySeconds(stats, job.Hardware)
+	copySec := stageCopySeconds(stats, job.Hardware)
 	var rows []MigrationRow
 	for _, freq := range config.Table1Frequencies() {
 		tr := failure.Monotonic(job.Parallel.Workers(), freq, Horizon)

@@ -195,10 +195,6 @@ func (s *Stage) RegressStepEpoch(n int) {
 	}
 }
 
-// StoreLen returns how many micro-batch gradient contributions sit in the
-// WeightGradStore.
-func (s *Stage) StoreLen() int { return len(s.store) }
-
 // DrainStore removes and returns all stored contributions keyed by
 // micro-batch.
 func (s *Stage) DrainStore() map[MBKey][]*tensor.Matrix {

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 )
@@ -45,13 +43,6 @@ func (r *Registry) group(name string) map[string]int64 {
 func (r *Registry) Set(group, name string, v int64) {
 	r.mu.Lock()
 	r.group(group)[name] = v
-	r.mu.Unlock()
-}
-
-// Add increments counter group.name by d.
-func (r *Registry) Add(group, name string, d int64) {
-	r.mu.Lock()
-	r.group(group)[name] += d
 	r.mu.Unlock()
 }
 
@@ -113,14 +104,4 @@ func (r *Registry) Snapshot() Snapshot {
 		out.Groups[name] = cp
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as indented, deterministic JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Snapshot()); err != nil {
-		return fmt.Errorf("obs: encoding registry snapshot: %w", err)
-	}
-	return nil
 }

@@ -244,31 +244,6 @@ func (t *Trace) Counters() map[string]int64 {
 	return out
 }
 
-// ModelDivergence reports, per worker, the mean ratio of measured
-// wall-clock compute time to modeled duration across the trace's live
-// spans — how far Instr.Dur drifted from reality, the signal Recalibrate
-// folds back into the cost model. Workers without measured spans are
-// absent.
-func (t *Trace) ModelDivergence() map[schedule.Worker]float64 {
-	sums := make(map[schedule.Worker]float64)
-	ns := make(map[schedule.Worker]int)
-	for _, g := range t.Segments() {
-		for _, s := range g.Spans() {
-			if s.Frozen || s.Actual <= 0 || s.Modeled <= 0 {
-				continue
-			}
-			w := s.Worker()
-			sums[w] += float64(s.Actual.Nanoseconds()) / float64(s.Modeled)
-			ns[w]++
-		}
-	}
-	out := make(map[schedule.Worker]float64, len(sums))
-	for w, sum := range sums {
-		out[w] = sum / float64(ns[w])
-	}
-	return out
-}
-
 // String renders a one-line summary.
 func (t *Trace) String() string {
 	c := t.Counters()

@@ -80,22 +80,6 @@ func (m *CostModel) Fn() schedule.CostFunc {
 	return func(w schedule.Worker, t schedule.OpType) int64 { return m.Of(w, t) }
 }
 
-// IsUniform reports whether every worker runs at the base durations — i.e.
-// the model adds no information over plain schedule.Durations.
-func (m *CostModel) IsUniform() bool {
-	for _, s := range m.StageScale {
-		if s > 0 && s != 1 {
-			return false
-		}
-	}
-	for _, s := range m.WorkerScale {
-		if s > 0 && s != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // WithWorkerScale returns a copy of the model with the worker's multiplier
 // set (copy-on-write; the receiver is never mutated). A factor of 1
 // removes the entry.

@@ -14,7 +14,7 @@
 //     adding the optimizer step of a re-joining worker), and the spliced
 //     artifact passes both schedule.Validate and Program.Validate. The
 //     same splice path serves the discrete-event replayer here and the
-//     live interpreter (dtrain.Runtime.RunIterationRejoin), so suffix
+//     live interpreter (dtrain.Runtime.RunIterationCascade), so suffix
 //     re-planning has exactly one implementation.
 //
 //   - Replay walks a failure.Trace window by window (Trace.Windows),

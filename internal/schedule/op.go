@@ -43,11 +43,6 @@ func (t OpType) String() string {
 	}
 }
 
-// Critical reports whether the op type sits on the pipeline's dependency
-// critical path (forward and backward-input chains). BWeight and Optimizer
-// are deferrable.
-func (t OpType) Critical() bool { return t == F || t == B || t == BInput }
-
 // Op is the paper's 5-tuple (i, j, k, c, k_s) plus an iteration index used
 // when schedules are unrolled across iterations for the Staggered Optimizer.
 type Op struct {

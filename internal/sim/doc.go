@@ -2,12 +2,12 @@
 // levels of abstraction.
 //
 // The scalar backend (Run) replays an availability trace against a
-// fault-tolerant training system model (System) and reports instantaneous
-// and average throughput, charging each system its own reconfiguration
-// stalls at failure and re-join events — the baselines' rows of the Fig 9
-// experiments. ReCycle's own Fig 9 row no longer uses this path: it is
-// replayed at op granularity by internal/replay, on top of the
-// discrete-event backend below.
+// steady-state model of a fault-tolerant training system (System) and
+// reports instantaneous and average throughput, charging each system its
+// own reconfiguration stalls at failure and re-join events. Only the
+// baselines (internal/baselines) are Systems: ReCycle is always replayed
+// at op granularity by internal/replay, on top of the discrete-event
+// backend below.
 //
 // The discrete-event backend (ExecuteProgram) drops below steady-state
 // scalars to the op level: it executes a compiled schedule.Program — the

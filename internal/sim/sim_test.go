@@ -6,6 +6,7 @@ import (
 
 	"recycle/internal/baselines"
 	"recycle/internal/config"
+	"recycle/internal/engine"
 	"recycle/internal/failure"
 	"recycle/internal/profile"
 )
@@ -19,15 +20,31 @@ func testJob() config.Job {
 	}
 }
 
-func testReCycle(t *testing.T) *ReCycle {
+// testEngine is the plan service for testJob, unrolled over two
+// iterations.
+func testEngine(t *testing.T) (*engine.Engine, profile.Stats) {
 	t.Helper()
 	stats, err := profile.Analytic(testJob())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewReCycle(testJob(), stats)
-	rc.Planner.UnrollIterations = 2
-	return rc
+	return engine.New(testJob(), stats, engine.Options{UnrollIterations: 2}), stats
+}
+
+// testElastic is a baseline system for testJob: its reconfiguration
+// stall is positive on every availability change.
+func testElastic(t *testing.T) System {
+	t.Helper()
+	eng, stats := testEngine(t)
+	p, err := eng.Plan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	common, err := baselines.NewCommon(testJob(), stats, eng.ThroughputSamplesPerSec(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return baselines.Elastic{C: common}
 }
 
 // TestReCycleThroughputBounded checks that throughput under failures never
@@ -37,16 +54,17 @@ func testReCycle(t *testing.T) *ReCycle {
 // factor (the MILP it stands in for is also only near-optimal), so strict
 // monotonicity is not asserted.
 func TestReCycleThroughputBounded(t *testing.T) {
-	rc := testReCycle(t)
-	ff, err := rc.Throughput(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := 1; f <= 4; f++ {
-		cur, err := rc.Throughput(f)
+	eng, _ := testEngine(t)
+	throughput := func(f int) float64 {
+		p, err := eng.Plan(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return eng.ThroughputSamplesPerSec(p)
+	}
+	ff := throughput(0)
+	for f := 1; f <= 4; f++ {
+		cur := throughput(f)
 		if cur > ff+1e-9 {
 			t.Fatalf("throughput with %d failures (%v) exceeds fault-free (%v)", f, cur, ff)
 		}
@@ -59,9 +77,8 @@ func TestReCycleThroughputBounded(t *testing.T) {
 // TestRunAccounting checks interval bookkeeping: samples = sum of
 // throughput x (interval - stall).
 func TestRunAccounting(t *testing.T) {
-	rc := testReCycle(t)
 	tr := failure.Monotonic(16, 2*time.Hour, 6*time.Hour)
-	res := Run(rc, tr, 6*time.Hour)
+	res := Run(testElastic(t), tr, 6*time.Hour)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -80,9 +97,8 @@ func TestRunAccounting(t *testing.T) {
 // TestStallsChargedOnFailureEvents checks that each availability change
 // after t=0 carries a reconfiguration stall.
 func TestStallsChargedOnFailureEvents(t *testing.T) {
-	rc := testReCycle(t)
 	tr := failure.Monotonic(16, time.Hour, 6*time.Hour)
-	res := Run(rc, tr, 6*time.Hour)
+	res := Run(testElastic(t), tr, 6*time.Hour)
 	for i, p := range res.Timeline {
 		if i == 0 {
 			continue
@@ -90,63 +106,5 @@ func TestStallsChargedOnFailureEvents(t *testing.T) {
 		if p.Stall <= 0 {
 			t.Fatalf("interval %d (failed=%d) has no reconfiguration stall", i, p.Failed)
 		}
-	}
-}
-
-// TestSystemsOrderingUnderChurn checks the paper's headline comparative
-// shape on a churny trace: ReCycle >= Oobleck and ReCycle >= Bamboo, and
-// nobody beats the fault-scaled ideal.
-func TestSystemsOrderingUnderChurn(t *testing.T) {
-	job := testJob()
-	stats, err := profile.Analytic(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := NewReCycle(job, stats)
-	rc.Planner.UnrollIterations = 2
-	ff, err := rc.Throughput(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	common, err := baselines.NewCommon(job, stats, ff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := failure.Poisson(16, 45*time.Minute, 90*time.Minute, 6*time.Hour, 7)
-	rcRes := Run(rc, tr, 6*time.Hour)
-	ooRes := Run(baselines.Oobleck{C: common}, tr, 6*time.Hour)
-	baRes := Run(baselines.Bamboo{C: common}, tr, 6*time.Hour)
-	fsRes := Run(baselines.FaultScaled{C: common}, tr, 6*time.Hour)
-	if rcRes.Average < ooRes.Average {
-		t.Errorf("ReCycle %.2f below Oobleck %.2f under churn", rcRes.Average, ooRes.Average)
-	}
-	if !baRes.OOM && rcRes.Average < baRes.Average {
-		t.Errorf("ReCycle %.2f below Bamboo %.2f under churn", rcRes.Average, baRes.Average)
-	}
-	// ReCycle may legitimately exceed the fault-scaled line at low failure
-	// counts (Fig 10: "at or better than fault-scaled") because bubbles
-	// absorb rerouted work, but it can never beat fault-free.
-	ffOnly := Run(rc, failure.Monotonic(16, 100*time.Hour, 6*time.Hour), 6*time.Hour)
-	if rcRes.Average > ffOnly.Average*1.001 {
-		t.Errorf("ReCycle %.2f exceeds fault-free %.2f", rcRes.Average, ffOnly.Average)
-	}
-	_ = fsRes
-}
-
-// TestBeyondGuaranteeFallsBack checks operation past PP*(DP-1) failures:
-// with 13 of 16 workers gone only 3 remain — fewer than the PP=4 stages a
-// pipeline needs — so even the checkpoint fallback yields zero throughput;
-// a fully failed cluster is an error.
-func TestBeyondGuaranteeFallsBack(t *testing.T) {
-	rc := testReCycle(t)
-	thr, err := rc.Throughput(13) // > PP*(DP-1) = 12
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thr != 0 {
-		t.Fatalf("3 surviving workers cannot host a 4-stage pipeline; want 0 throughput, got %v", thr)
-	}
-	if _, err := rc.Throughput(16); err == nil {
-		t.Fatal("expected error with the whole cluster failed")
 	}
 }

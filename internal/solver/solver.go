@@ -369,8 +369,6 @@ func (s *state) wakeAt(wi int, t int64) {
 	s.events.pushEvent(event{t: t, w: wi})
 }
 
-func (s *state) workerOf(w schedule.Worker) *workerState { return &s.workers[s.widx[w]] }
-
 // pushEvent adds an event to the queue (sift-up).
 func (q *eventQueue) pushEvent(e event) {
 	*q = append(*q, e)

@@ -24,14 +24,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (length rows*cols) without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: %d values for %dx%d matrix", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // Randn fills a new matrix with N(0, stddev) values from rng.
 func Randn(rows, cols int, stddev float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
@@ -125,16 +117,6 @@ func MatMulAT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Add returns a + b.
-func Add(a, b *Matrix) *Matrix {
-	mustSameShape("add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Matrix) {
 	mustSameShape("add-in-place", a, b)
@@ -205,15 +187,6 @@ func Hadamard(a, b *Matrix) *Matrix {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
 	return out
-}
-
-// FrobeniusNorm returns sqrt(sum of squares).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports exact element-wise equality.

@@ -60,24 +60,28 @@ func TestFusedTransposeForms(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := randMat(3, 3, 5)
 	b := randMat(3, 3, 6)
-	if MaxAbsDiff(Sub(Add(a, b), b), a) > 1e-15 {
+	sum := a.Clone()
+	AddInPlace(sum, b)
+	if MaxAbsDiff(Sub(sum, b), a) > 1e-15 {
 		t.Fatal("(a+b)-b != a")
 	}
-	if MaxAbsDiff(Scale(a, 2), Add(a, a)) > 1e-15 {
+	twice := a.Clone()
+	AddInPlace(twice, a)
+	if MaxAbsDiff(Scale(a, 2), twice) > 1e-15 {
 		t.Fatal("2a != a+a")
 	}
 }
 
 // TestColSumsAndRowVector checks the bias-path helpers.
 func TestColSumsAndRowVector(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	a := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	sums := ColSums(a)
 	for j, want := range []float64{5, 7, 9} {
 		if sums.At(0, j) != want {
 			t.Fatalf("colsum[%d] = %v, want %v", j, sums.At(0, j), want)
 		}
 	}
-	v := FromSlice(1, 3, []float64{10, 20, 30})
+	v := &Matrix{Rows: 1, Cols: 3, Data: []float64{10, 20, 30}}
 	got := AddRowVector(a, v)
 	if got.At(1, 2) != 36 {
 		t.Fatalf("AddRowVector wrong: %v", got.Data)
@@ -86,8 +90,8 @@ func TestColSumsAndRowVector(t *testing.T) {
 
 // TestHadamardAndApply checks element-wise ops.
 func TestHadamardAndApply(t *testing.T) {
-	a := FromSlice(1, 3, []float64{1, -2, 3})
-	b := FromSlice(1, 3, []float64{2, 2, 2})
+	a := &Matrix{Rows: 1, Cols: 3, Data: []float64{1, -2, 3}}
+	b := &Matrix{Rows: 1, Cols: 3, Data: []float64{2, 2, 2}}
 	if h := Hadamard(a, b); h.Data[1] != -4 {
 		t.Fatalf("hadamard wrong: %v", h.Data)
 	}
